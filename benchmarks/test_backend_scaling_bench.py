@@ -1,22 +1,22 @@
-"""Benchmark: multiprocess serving throughput vs serial and thread fan-out.
+"""Benchmark: multiprocess serving throughput vs serial.
 
 The ROADMAP's top serving item is process-based parallelism for
 ``route_many``: the best-first search loops are pure Python, so threads are
 GIL-bound and cannot scale them — worker *processes* can.  This benchmark
 drives the full serving path on a city-scale batch:
 
-1. a parent engine is booted from the shared city **artifact store**
+1. an engine is booted from the shared city **artifact store**
    (``aalborg-like``; mined on the spot only when no cached store exists —
    see :func:`benchmarks.conftest.city_artifact_store`), its hot-destination
-   heuristics are prewarmed and saved to a bundle,
-2. a :class:`~repro.routing.ProcessBackend` pool initialises each worker from
-   the engine's spec — an :class:`~repro.routing.ArtifactRef`, so workers
-   cold-boot from disk instead of re-mining — plus that *bundle*: the
-   cross-process prewarm path, keyed and verified by the graph content
-   fingerprints, so workers run zero Bellman builds — and
-3. the same destination-grouped batch is timed on the serial backend, the
-   thread backend (for comparison; expected ≈ 1x) and the steady-state
-   process pool (warm workers, as in a serving deployment).
+   heuristics are prewarmed and saved with the index into a temporary store
+   (the shared store stays read-only),
+2. the parent engine is booted from that temporary store, so its spec is an
+   :class:`~repro.routing.ArtifactRef` and a
+   :class:`~repro.routing.ProcessBackend` pool cold-boots every worker from
+   the same store — index and heuristics, verified by the graph content
+   fingerprints, so workers neither re-mine nor run Bellman builds — and
+3. the same destination-grouped batch is timed on the serial backend and the
+   steady-state process pool (warm workers, as in a serving deployment).
 
 Acceptance bar: the process backend must be >= 2x faster than serial
 wall-clock on the batch, with results identical to serial query for query.
@@ -35,11 +35,7 @@ import time
 import pytest
 
 from repro.evaluation.reporting import render_report, write_report
-from repro.routing import (
-    ProcessBackend,
-    RoutingEngine,
-    ThreadBackend,
-)
+from repro.routing import ProcessBackend, RoutingEngine
 
 WORKERS = 4
 SPEEDUP_FLOOR = 2.0
@@ -66,18 +62,6 @@ def _best_of(function, repeats: int = 2) -> tuple[float, object]:
     return best_seconds, result
 
 
-def _build_engine(city_store):
-    """The parent engine, always booted from the shared artifact store.
-
-    Even on a fresh mine the store was just saved, and booting from it (not
-    reusing the mined engine) gives the parent an :class:`ArtifactRef` spec —
-    so the pool workers cold-boot from disk instead of each re-mining the
-    city, and cache-hit and fresh runs measure the same configuration.
-    """
-    root, _, _ = city_store
-    return RoutingEngine.from_artifacts(root)
-
-
 def _assert_parity(serial, other, queries) -> None:
     for query, a, b in zip(queries, serial, other):
         assert b.query is query
@@ -93,9 +77,12 @@ def _assert_parity(serial, other, queries) -> None:
 )
 def test_process_backend_scales_route_many(tmp_path, city_store, city_batch_factory):
     cpus = _usable_cpus()
-    engine = _build_engine(city_store)
+    # Even on a fresh mine the shared store was just saved, and booting from
+    # it (not reusing the mined engine) makes cache-hit and fresh runs
+    # measure the same configuration.
+    offline = RoutingEngine.from_artifacts(city_store[0])
     queries = city_batch_factory(
-        engine,
+        offline,
         source_stride=5,
         destination_stride=6,
         target=QUERY_TARGET,
@@ -104,24 +91,19 @@ def test_process_backend_scales_route_many(tmp_path, city_store, city_batch_fact
     assert len(queries) >= QUERY_TARGET // 2, "workload generation came up short"
     destinations = sorted({query.destination for query in queries})
 
-    # Offline investment once, shared with every worker via the bundle.
-    engine.prewarm(METHOD, destinations)
-    bundle = tmp_path / "heuristics.json"
-    saved = engine.save_heuristics(bundle)
+    # Offline investment once, shared with every worker via the store.
+    offline.prewarm(METHOD, destinations)
+    manifest = offline.save_artifacts(tmp_path / "store")
+    saved = manifest.provenance["heuristic_entries"]
     assert saved >= len(destinations)
+    engine = RoutingEngine.from_artifacts(tmp_path / "store")
 
     serial_seconds, serial_results = _best_of(
         lambda: engine.route_many(queries, method=METHOD)
     )
+    assert engine.heuristic_cache.misses == 0  # every table came from the store
 
-    started = time.perf_counter()
-    thread_results = engine.route_many(
-        queries, method=METHOD, backend=ThreadBackend(workers=WORKERS)
-    )
-    thread_seconds = time.perf_counter() - started
-    _assert_parity(serial_results, thread_results, queries)
-
-    with ProcessBackend(workers=WORKERS, heuristics_path=bundle) as backend:
+    with ProcessBackend(workers=WORKERS) as backend:
         started = time.perf_counter()
         warm_up = engine.route_many(queries[:1], method=METHOD, backend=backend)
         warmup_seconds = time.perf_counter() - started
@@ -134,11 +116,9 @@ def test_process_backend_scales_route_many(tmp_path, city_store, city_batch_fact
         )
     _assert_parity(serial_results, process_results, queries)
 
-    thread_speedup = serial_seconds / thread_seconds if thread_seconds else float("inf")
     process_speedup = serial_seconds / process_seconds if process_seconds else float("inf")
     rows = [
         ("serial", round(serial_seconds, 2), 1.0),
-        (f"thread x{WORKERS}", round(thread_seconds, 2), round(thread_speedup, 2)),
         (f"process x{WORKERS} (steady state)", round(process_seconds, 2), round(process_speedup, 2)),
     ]
     report = render_report(
@@ -148,8 +128,8 @@ def test_process_backend_scales_route_many(tmp_path, city_store, city_batch_fact
         rows,
     )
     report += (
-        f"\nworker warm-up (spec rebuild + bundle prewarm, once per pool): "
-        f"{warmup_seconds:.1f}s; bundle entries: {saved}\n"
+        f"\nworker warm-up (store boot, once per pool): "
+        f"{warmup_seconds:.1f}s; store heuristic entries: {saved}\n"
     )
     write_report(report, "backend_scaling.txt")
 

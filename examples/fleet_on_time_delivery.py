@@ -53,10 +53,9 @@ def main() -> None:
             network, depot, customer, lambda e: edge_graph.expected_cost(e.edge_id)
         )
         plans.append((expected_path, expected_time * 1.1))
-    # SerialBackend is the default; swap in ThreadBackend(workers=...) or — for
-    # engines with a spec (a DatasetRecipe or an artifact-store ArtifactRef) —
-    # ProcessBackend to scale the manifest across cores (see
-    # examples/batch_serving.py).
+    # SerialBackend is the default; for engines with a spec (a DatasetRecipe or
+    # an artifact-store ArtifactRef) swap in ProcessBackend to scale the
+    # manifest across cores (see examples/batch_serving.py).
     results = engine.route_many(
         [
             RoutingQuery(depot, customer, budget=budget)

@@ -8,7 +8,7 @@ trajectories, and reports the size and cost of every stage:
 
 raw GPS traces -> HMM map matching -> outlier filtering -> T-path mining ->
 PACE graph -> V-path closure -> per-destination heuristic tables ->
-persisted heuristic bundle -> a fresh serving process prewarmed from disk.
+persisted artifact store -> a fresh serving engine booted from disk.
 
 Run with::
 
@@ -96,12 +96,12 @@ def main() -> None:
           f"({heuristic.sweeps_performed} Bellman sweeps)")
     done(started)
 
-    started = stage("7. Persist the heuristics and prewarm a fresh serving process from disk")
-    bundle = Path(tempfile.mkdtemp()) / "heuristics.json"
-    saved = offline.save_heuristics(bundle)
-    serving = RoutingEngine(pace, updated, settings=settings)
-    loaded = serving.prewarm(bundle)
-    print(f"    saved {saved} heuristics to {bundle}; fresh engine loaded {loaded}")
+    started = stage("7. Persist index + heuristics and boot a fresh serving engine from disk")
+    store = Path(tempfile.mkdtemp()) / "store"
+    manifest = offline.save_artifacts(store)
+    serving = RoutingEngine.from_artifacts(store)
+    print(f"    saved {manifest.provenance['heuristic_entries']} heuristics to {store}; "
+          f"fresh engine loaded {len(serving.heuristic_cache)}")
     source = sorted(network.vertex_ids())[0]
     result = serving.route(
         RoutingQuery(source=source, destination=destination, budget=600.0), method="T-BS-60"

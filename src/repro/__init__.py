@@ -53,7 +53,6 @@ from repro.routing import (
     RoutingResult,
     RoutingService,
     SerialBackend,
-    ThreadBackend,
     create_router,
 )
 from repro.tpaths import TPathMinerConfig, build_edge_graph, build_pace_graph, mine_tpaths
@@ -109,7 +108,6 @@ __all__ = [
     "RoutingEngine",
     "EngineSpec",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "RouteRequest",
     "RouteResponse",

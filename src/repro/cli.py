@@ -16,14 +16,11 @@ without writing Python:
   (v1 JSON -> v2 columnar, or back), preserving fingerprints, recipe and
   provenance without re-mining,
 * ``prewarm``         — build the heuristics of a method for a set of destinations
-  and persist them to a bundle file — or, with ``--artifacts``, into the
-  artifact store itself,
+  in an existing artifact store and save them back into it,
 * ``route``           — answer a single arriving-on-time query with a chosen method,
-  optionally prewarming its heuristics from such a bundle instead of
-  rebuilding them,
 * ``route-batch``     — answer a JSONL file of requests through the typed service
-  API, over a chosen execution backend (serial, threads, or a multiprocess
-  worker pool), writing one JSON response per line, and
+  API, over a chosen execution backend (serial or a multiprocess worker pool),
+  writing one JSON response per line, and
 * ``serve``           — run the long-lived fault-tolerant HTTP serving tier
   (:mod:`repro.serving`) over an artifact store: ``POST /route`` with admission
   control and per-request deadlines, ``GET /stats`` / ``GET /healthz``, hot
@@ -35,11 +32,10 @@ without writing Python:
   source trees, exiting non-zero on violations; this is the ``repro analyze``
   gate the CI ``analysis`` job runs against ``src/repro``.
 
-The serving commands (``prewarm``, ``route``, ``route-batch``) accept
-``--artifacts <dir>`` to boot the engine from a persisted store instead of
-re-mining — the deployment path: mine once with ``build-artifacts``, then
-cold-start engines (and, under ``--backend process``, every worker) from disk
-in seconds.  ``--artifacts`` takes precedence over ``--dataset``/``--tau``/
+The serving commands (``route``, ``route-batch``) accept ``--artifacts <dir>``
+to boot the engine from a persisted store instead of re-mining — the
+deployment path: mine once with ``build-artifacts``, then cold-start engines
+(and, under ``--backend process``, every worker) from disk in seconds.  ``--artifacts`` takes precedence over ``--dataset``/``--tau``/
 ``--regime``, which are ignored when it is given; ``--max-budget`` sizes a
 re-mine, so combining it with ``--artifacts`` is rejected (the store's
 manifest already records the settings its tables were built for).
@@ -88,7 +84,6 @@ from repro.routing import (
     RoutingQuery,
     RoutingService,
     SerialBackend,
-    ThreadBackend,
 )
 from repro.routing.service import RouteResponse
 from repro.tpaths import TPathMinerConfig, build_pace_graph
@@ -109,7 +104,7 @@ _EXPERIMENTS = {
     "fig19": fig19_case_study,
 }
 
-_BACKENDS = ("serial", "thread", "process")
+_BACKENDS = ("serial", "process")
 
 #: CLI names of the artifact store formats (see repro.persistence.store).
 _STORE_FORMATS = {"v1": 1, "v2": 2}
@@ -189,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Mine the PACE index (T-paths + V-path closure), optionally pre-compute "
             "heuristics for hot destinations, and write everything into a "
-            "content-addressed artifact store: index, heuristic bundle and a manifest "
+            "content-addressed artifact store: index, heuristic tables and a manifest "
             "recording graph fingerprints, router settings and build provenance.  "
             "Serving commands then boot from the store with --artifacts, skipping "
             "re-mining entirely."
@@ -269,9 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     prewarm = subparsers.add_parser(
-        "prewarm", help="pre-compute heuristics for destinations and save them to a bundle"
+        "prewarm", help="pre-compute heuristics for destinations into an artifact store"
     )
-    prewarm.add_argument("--dataset", default="tiny", choices=list(DATASET_NAMES))
     prewarm.add_argument("--method", default="V-BS-60", type=_method_name, help=method_help)
     prewarm.add_argument(
         "--destinations",
@@ -282,27 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="destination vertex ids (space- and/or comma-separated: '3 7' or '3,7,12')",
     )
     prewarm.add_argument(
-        "--out",
-        default=None,
-        help="bundle file to write (required unless --artifacts updates the store in place)",
-    )
-    prewarm.add_argument("--tau", type=int, default=20)
-    prewarm.add_argument("--regime", default="peak", choices=["peak", "off-peak"])
-    prewarm.add_argument(
-        "--max-budget",
-        type=float,
-        default=None,
-        help=(
-            "largest budget the tables must answer (default 600; with --artifacts "
-            "the store's recorded settings apply and this flag is rejected)"
-        ),
-    )
-    prewarm.add_argument(
         "--artifacts",
-        default=None,
+        required=True,
         help=(
-            "artifact store to boot the engine from; newly built heuristics are "
-            "saved back into the store (and to --out when given)"
+            "artifact store (from 'build-artifacts') to boot the engine from; newly "
+            "built heuristics are saved back into it, under its recorded settings"
         ),
     )
 
@@ -314,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--budget", type=float, required=True, help="travel-time budget in seconds")
     route.add_argument("--tau", type=int, default=20)
     route.add_argument("--regime", default="peak", choices=["peak", "off-peak"])
-    route.add_argument(
-        "--heuristics",
-        default=None,
-        help="heuristic bundle (from 'prewarm') to load instead of rebuilding",
-    )
     route.add_argument(
         "--artifacts",
         default=None,
@@ -348,18 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend for the batch",
     )
     batch.add_argument(
-        "--workers", type=int, default=4, help="worker count for the thread/process backends"
+        "--workers", type=int, default=4, help="worker count for --backend process"
     )
     batch.add_argument("--tau", type=int, default=20)
     batch.add_argument("--regime", default="peak", choices=["peak", "off-peak"])
-    batch.add_argument(
-        "--heuristics",
-        default=None,
-        help=(
-            "heuristic bundle (from 'prewarm') loaded into the engine — and, with "
-            "--backend process, into every worker"
-        ),
-    )
     batch.add_argument(
         "--max-budget",
         type=float,
@@ -646,19 +611,23 @@ def _command_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _boot_store(path: str) -> RoutingEngine:
+    """Cold-boot an engine from a persisted store (its manifest's settings)."""
+    try:
+        return RoutingEngine.from_artifacts(path)
+    except DataError as exc:
+        # Exit 2 (operational error), distinct from route's exit 1
+        # ("query answered, no route found") so scripts can branch.
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
+
+
 def _build_engine(args: argparse.Namespace, max_budget: float) -> RoutingEngine:
-    # With --artifacts the engine cold-boots from the persisted store (its
-    # manifest carries the settings the artifacts were built for); otherwise
-    # it is built from a recipe, so the multiprocess backend can hand the same
-    # recipe to its workers (content fingerprints verify the rebuild).
-    if getattr(args, "artifacts", None):
-        try:
-            return RoutingEngine.from_artifacts(args.artifacts)
-        except DataError as exc:
-            # Exit 2 (operational error), distinct from route's exit 1
-            # ("query answered, no route found") so scripts can branch.
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2) from exc
+    # With --artifacts the engine cold-boots from the persisted store;
+    # otherwise it is built from a recipe, so the multiprocess backend can hand
+    # the same recipe to its workers (content fingerprints verify the rebuild).
+    if args.artifacts:
+        return _boot_store(args.artifacts)
     recipe = DatasetRecipe(dataset=args.dataset, regime=args.regime, tau=args.tau)
     return recipe.build_engine(settings=RouterSettings(max_budget=max_budget))
 
@@ -794,12 +763,7 @@ def _reject_max_budget_with_artifacts(args: argparse.Namespace) -> bool:
 
 
 def _command_prewarm(args: argparse.Namespace) -> int:
-    if not args.out and not args.artifacts:
-        print("error: prewarm needs --out and/or --artifacts to persist into", file=sys.stderr)
-        return 2
-    if _reject_max_budget_with_artifacts(args):
-        return 2
-    engine = _build_engine(args, args.max_budget if args.max_budget is not None else 600.0)
+    engine = _boot_store(args.artifacts)
     try:
         built = engine.prewarm(args.method, args.destinations)
     except ConfigurationError as exc:
@@ -811,17 +775,12 @@ def _command_prewarm(args: argparse.Namespace) -> int:
         ("destinations", " ".join(str(d) for d in args.destinations)),
         ("heuristics built", built),
     ]
-    if args.out:
-        saved = engine.save_heuristics(args.out)
-        rows += [("bundle entries", saved), ("bundle file", args.out)]
-    if args.artifacts:
-        manifest = engine.save_artifacts(args.artifacts)
-        rows += [
-            ("store entries", manifest.provenance.get("heuristic_entries")),
-            ("store", args.artifacts),
-        ]
-    source = args.artifacts if args.artifacts else args.dataset
-    print(render_report(f"Prewarmed heuristics: {source}", ("property", "value"), rows))
+    manifest = engine.save_artifacts(args.artifacts)
+    rows += [
+        ("store entries", manifest.provenance.get("heuristic_entries")),
+        ("store", args.artifacts),
+    ]
+    print(render_report(f"Prewarmed heuristics: {args.artifacts}", ("property", "value"), rows))
     return 0
 
 
@@ -839,16 +798,6 @@ def _command_route(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.heuristics:
-        loaded = engine.prewarm(args.heuristics)
-        print(f"prewarmed {loaded} heuristics from {args.heuristics}")
-        if loaded == 0:
-            print(
-                "warning: the bundle held no servable heuristics (budget tables "
-                f"must cover max_budget={engine.settings.max_budget:g} — re-run "
-                "prewarm with a larger --max-budget — and must be ceil-built); "
-                "rebuilding from scratch"
-            )
     result = engine.route(
         RoutingQuery(source=args.source, destination=args.destination, budget=args.budget),
         method=args.method,
@@ -861,10 +810,8 @@ def _command_route(args: argparse.Namespace) -> int:
 
 
 def _make_backend(args: argparse.Namespace):
-    if args.backend == "thread":
-        return ThreadBackend(workers=args.workers)
     if args.backend == "process":
-        return ProcessBackend(workers=args.workers, heuristics_path=args.heuristics)
+        return ProcessBackend(workers=args.workers)
     return SerialBackend()
 
 
@@ -888,9 +835,6 @@ def _command_route_batch(args: argparse.Namespace) -> int:
     if _reject_max_budget_with_artifacts(args):
         return 2
     engine = _build_engine(args, args.max_budget if args.max_budget is not None else 600.0)
-    if args.heuristics:
-        loaded = engine.prewarm(args.heuristics)
-        print(f"prewarmed {loaded} heuristics from {args.heuristics}", file=sys.stderr)
     service = RoutingService(engine, default_method=args.method)
     backend = _make_backend(args)
 

@@ -21,10 +21,6 @@ from repro.persistence.heuristics import (
     heuristic_entry_key,
     heuristic_table_from_dict,
     heuristic_table_to_dict,
-    load_heuristic_bundle,
-    load_heuristic_table,
-    save_heuristic_bundle,
-    save_heuristic_table,
 )
 from repro.persistence.heuristics import (
     heuristic_bundle_entries,
@@ -69,8 +65,4 @@ __all__ = [
     "budget_heuristic_from_dict",
     "heuristic_table_to_dict",
     "heuristic_table_from_dict",
-    "save_heuristic_table",
-    "load_heuristic_table",
-    "save_heuristic_bundle",
-    "load_heuristic_bundle",
 ]

@@ -10,13 +10,12 @@ tables for its hot destinations instead of rebuilding them:
   bounds and the cells in between) plus the ``getMin`` map used for budget
   pruning, and
 * heuristic *bundles* — a list of tagged heuristic payloads covering many
-  destinations, which is what :meth:`repro.routing.engine.RoutingEngine.save_heuristics`
-  writes and :meth:`~repro.routing.engine.RoutingEngine.prewarm` reads.
+  destinations, which is the heuristics document of a format-version-1
+  :class:`~repro.persistence.store.ArtifactStore`.
 
-The v1 files are strict JSON: unreachable vertices carry ``getMin = inf``,
+The v1 documents are strict JSON: unreachable vertices carry ``getMin = inf``,
 which standard JSON cannot represent, so infinities are stored as the string
-sentinel ``"inf"`` and every writer passes ``allow_nan=False`` (the legacy
-non-standard ``Infinity`` token is still accepted on load).
+sentinel ``"inf"`` and every writer passes ``allow_nan=False``.
 
 **Format-version 2** serialises each tagged bundle entry as its *own*
 columnar binary document (:func:`encode_heuristic_entry` /
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from pathlib import Path as FilePath
 
 import numpy as np
 
@@ -45,8 +43,6 @@ from repro.persistence.codecs import (
     encode_column_document,
     require_format_version,
     split_ragged_column,
-    strict_json_dump,
-    strict_json_loads,
 )
 from repro.heuristics.binary import BinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
@@ -59,10 +55,6 @@ __all__ = [
     "heuristic_table_from_dict",
     "budget_heuristic_to_dict",
     "budget_heuristic_from_dict",
-    "save_heuristic_table",
-    "load_heuristic_table",
-    "save_heuristic_bundle",
-    "load_heuristic_bundle",
     "heuristic_bundle_payload",
     "heuristic_bundle_entries",
     "HEURISTIC_ENTRY_FORMAT_V2",
@@ -185,49 +177,17 @@ def budget_heuristic_from_dict(payload: dict) -> BudgetSpecificHeuristic:
     return BudgetSpecificHeuristic.from_table(table, binary=binary, config=config)
 
 
-def save_heuristic_table(
-    source: HeuristicTable | BudgetSpecificHeuristic, path: str | FilePath
-) -> None:
-    """Write a heuristic table to a JSON file."""
-    path = FilePath(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        strict_json_dump(heuristic_table_to_dict(source), handle)
-
-
-def load_heuristic_table(path: str | FilePath) -> HeuristicTable:
-    """Read a heuristic table written by :func:`save_heuristic_table`."""
-    path = FilePath(path)
-    if not path.exists():
-        raise DataError(f"heuristic table file not found: {path}")
-    payload = strict_json_loads(
-        path.read_text(encoding="utf-8"),  # repro: ignore[residency-discipline] — v1 JSON table
-        what=f"heuristic table file {path}",
-        allow_legacy_infinity=True,
-    )
-    return heuristic_table_from_dict(payload)
-
-
-def save_heuristic_bundle(entries: Sequence[dict], path: str | FilePath) -> None:
-    """Write a list of tagged heuristic entries as one strict-JSON document.
+def heuristic_bundle_payload(entries: Sequence[dict]) -> dict:
+    """The v1 bundle document for ``entries`` (a v1 store's heuristics artifact).
 
     Each entry is a dict with a ``kind`` tag (``"binary"`` or ``"budget"``), a
-    ``heuristic`` payload produced by the codecs above, and whatever routing
-    metadata the writer needs to key its cache (variant, δ, graph flavour,
-    and — since the cache became content-addressed — the
-    ``graph_fingerprint`` that makes the bundle loadable by any process over
-    structurally identical graphs).  The document is intentionally a dumb
-    envelope: the :class:`~repro.routing.engine.RoutingEngine` decides what
-    the entries mean.
+    ``heuristic`` payload produced by the codecs above, and the routing
+    metadata the writer needs to key its cache (variant, δ, graph flavour and
+    the ``graph_fingerprint`` that makes the entry loadable by any process
+    over structurally identical graphs).  The document is intentionally a
+    dumb envelope: the :class:`~repro.routing.engine.RoutingEngine` decides
+    what the entries mean.
     """
-    path = FilePath(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        strict_json_dump(heuristic_bundle_payload(entries), handle)
-
-
-def heuristic_bundle_payload(entries: Sequence[dict]) -> dict:
-    """The bundle document for ``entries`` (what :func:`save_heuristic_bundle` writes)."""
     return {
         "format_version": _BUNDLE_FORMAT_VERSION,
         "kind": "heuristic-bundle",
@@ -249,22 +209,6 @@ def heuristic_bundle_entries(payload: dict) -> list[dict]:
     if not isinstance(entries, list):
         raise DataError("malformed heuristic bundle: entries must be a list")
     return entries
-
-
-def load_heuristic_bundle(path: str | FilePath) -> list[dict]:
-    """Read the entries of a bundle written by :func:`save_heuristic_bundle`."""
-    path = FilePath(path)
-    if not path.exists():
-        raise DataError(f"heuristic bundle file not found: {path}")
-    payload = strict_json_loads(
-        path.read_text(encoding="utf-8"),  # repro: ignore[residency-discipline] — v1 JSON bundle
-        what=f"heuristic bundle file {path}",
-        allow_legacy_infinity=True,
-    )
-    try:
-        return heuristic_bundle_entries(payload)
-    except DataError as exc:
-        raise DataError(f"{exc} ({path})") from exc
 
 
 # --------------------------------------------------------------------------- #

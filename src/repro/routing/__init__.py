@@ -2,9 +2,9 @@
 
 The serving stack layers as: routers (one per method) → the batch
 :class:`RoutingEngine` with its shared heuristic cache → pluggable
-:mod:`execution backends <repro.routing.backends>` (serial / threads /
-processes) → the typed :mod:`service API <repro.routing.service>` with its
-wire-format requests, responses and error taxonomy.
+:mod:`execution backends <repro.routing.backends>` (serial / processes) →
+the typed :mod:`service API <repro.routing.service>` with its wire-format
+requests, responses and error taxonomy.
 """
 
 from repro.routing.backends import (
@@ -14,7 +14,6 @@ from repro.routing.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
 )
 from repro.routing.dijkstra import (
     free_flow_costs,
@@ -63,7 +62,6 @@ __all__ = [
     "METHOD_NAMES",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "DatasetRecipe",
     "ArtifactRef",

@@ -1,4 +1,4 @@
-"""Execution backends for batch routing: serial, threads, and processes.
+"""Execution backends for batch routing: serial and processes.
 
 :meth:`repro.routing.engine.RoutingEngine.route_many` separates *what* a batch
 means (per-query results identical to one :meth:`~RoutingEngine.route` call
@@ -7,9 +7,7 @@ parsed :class:`~repro.routing.methods.MethodSpec` and the query batch, and
 returns results **in input order**:
 
 * :class:`SerialBackend` — one destination-grouped pass in the calling thread
-  (the default; heuristics stay hot across same-destination queries),
-* :class:`ThreadBackend` — fan-out over a thread pool sharing the engine's
-  thread-safe heuristic cache; helps when routing releases the GIL, and
+  (the default; heuristics stay hot across same-destination queries), and
 * :class:`ProcessBackend` — fan-out over worker *processes*.  The pure-Python
   best-first search loops are GIL-bound, so threads cannot scale them;
   processes can, but they cannot share live graph objects.  Each worker
@@ -18,8 +16,7 @@ returns results **in input order**:
   verified via the content fingerprint) or an :class:`ArtifactRef` (load the
   persisted index and heuristics from an on-disk
   :class:`~repro.persistence.store.ArtifactStore`, fingerprint-verified, zero
-  rebuilds) — plus, optionally, a persisted heuristic bundle, and then
-  answers destination-grouped chunks.
+  rebuilds) — and then answers destination-grouped chunks.
 
 Every backend preserves input order and result parity with the serial
 evaluation, because each router's search is deterministic given its
@@ -32,10 +29,9 @@ import multiprocessing
 import os
 import threading
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from pathlib import Path as FilePath
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.core.errors import ConfigurationError, DataError
@@ -48,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "DatasetRecipe",
     "ArtifactRef",
@@ -92,9 +87,9 @@ def balanced_destination_chunks(
     (``ceil(len(order) / workers)``) is therefore split into shares, so a hot
     destination spreads over idle workers.  Splitting never interleaves
     destinations — every piece still holds queries of exactly one destination,
-    so each worker builds (or bundle-loads) at most one heuristic per piece;
-    with heuristics prewarmed from a bundle or an artifact store the extra
-    per-worker lookup is free.  Chunks are returned longest first (LPT) so the
+    so each worker builds (or loads) at most one heuristic per piece; with
+    heuristics prewarmed from an artifact store the extra per-worker lookup
+    is free.  Chunks are returned longest first (LPT) so the
     largest pieces are scheduled before the pool fills up.
     """
     chunks = _destination_chunks(queries, order)
@@ -148,39 +143,6 @@ class SerialBackend:
         return "SerialBackend()"
 
 
-class ThreadBackend:
-    """Thread-pool fan-out sharing the engine's thread-safe heuristic cache.
-
-    Queries are submitted in destination-grouped order so concurrent misses
-    for one destination serialise on the cache's per-key build lock (the
-    heuristic is built exactly once).  Threads only pay off where the work
-    releases the GIL; for the pure-Python search loops prefer
-    :class:`ProcessBackend`.
-    """
-
-    def __init__(self, workers: int = 4):
-        if workers < 1:
-            raise ConfigurationError(f"ThreadBackend needs at least 1 worker, got {workers}")
-        self.workers = workers
-
-    def run(
-        self,
-        engine: "RoutingEngine",
-        method: MethodSpec,
-        queries: Sequence[RoutingQuery],
-    ) -> list[RoutingResult]:
-        router = engine.router(method)
-        results: list[RoutingResult | None] = [None] * len(queries)
-        order = destination_grouped_order(queries)
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for index, result in zip(order, pool.map(lambda i: router.route(queries[i]), order)):
-                results[index] = result
-        return results  # type: ignore[return-value]
-
-    def __repr__(self) -> str:
-        return f"ThreadBackend(workers={self.workers})"
-
-
 @dataclass(frozen=True)
 class DatasetRecipe:
     """A serialisable recipe that *re-mines* a :class:`RoutingEngine` anywhere.
@@ -190,7 +152,7 @@ class DatasetRecipe:
     mining and (optionally) the V-path closure, producing graphs whose
     :meth:`~repro.core.pace_graph.PaceGraph.content_fingerprint` matches any
     other engine built from the same recipe — which is what lets multiprocess
-    workers share heuristic cache keys and persisted bundles with the parent
+    workers share heuristic cache keys and persisted entries with the parent
     process.  Re-mining is the right tool for tests and experiments; a
     deployment should mine once, persist the results with
     :meth:`~repro.routing.engine.RoutingEngine.save_artifacts` and boot
@@ -305,7 +267,6 @@ class _WorkerConfig:
 
     spec: EngineSpec
     settings: "RouterSettings"
-    heuristics_path: str | None
     pace_fingerprint: str | None
     updated_fingerprint: str | None
 
@@ -315,7 +276,7 @@ _worker_engine: "RoutingEngine | None" = None
 
 
 def _initialise_worker(config: _WorkerConfig) -> None:
-    """Build (and optionally prewarm) this worker process's engine, once."""
+    """Build this worker process's engine, once."""
     global _worker_engine
     engine = config.spec.build_engine(settings=config.settings)
     if (
@@ -334,8 +295,6 @@ def _initialise_worker(config: _WorkerConfig) -> None:
             f"worker built a different V-path closure from spec {config.spec!r}: "
             "the spec does not reproduce the parent engine's graphs"
         )
-    if config.heuristics_path is not None:
-        engine.prewarm(config.heuristics_path)
     engine.build_accelerators()
     _worker_engine = engine
 
@@ -371,9 +330,8 @@ class ProcessBackend:
     parent engine's :data:`EngineSpec` — re-mining from a
     :class:`DatasetRecipe`, or cold-booting the persisted index and
     heuristics from an :class:`ArtifactRef` with zero rebuilds; either way
-    verified against the parent's graph content fingerprints — and optionally
-    prewarming from a heuristic bundle (``heuristics_path``), so steady-state
-    batches pay only for routing.  Use :meth:`close` (or a ``with`` block) to
+    verified against the parent's graph content fingerprints — so
+    steady-state batches pay only for routing.  Use :meth:`close` (or a ``with`` block) to
     release the workers.
 
     A query failing in a worker propagates its exception to the caller (the
@@ -385,13 +343,11 @@ class ProcessBackend:
         self,
         workers: int = 4,
         *,
-        heuristics_path: str | FilePath | None = None,
         start_method: str | None = None,
     ):
         if workers < 1:
             raise ConfigurationError(f"ProcessBackend needs at least 1 worker, got {workers}")
         self.workers = workers
-        self.heuristics_path = None if heuristics_path is None else str(heuristics_path)
         self.start_method = start_method
         self._pool: ProcessPoolExecutor | None = None
         self._pool_config: _WorkerConfig | None = None
@@ -413,7 +369,6 @@ class ProcessBackend:
         return _WorkerConfig(
             spec=spec,
             settings=engine.settings,
-            heuristics_path=self.heuristics_path,
             pace_fingerprint=engine.pace_graph.content_fingerprint(),
             updated_fingerprint=(
                 None
@@ -541,6 +496,4 @@ class ProcessBackend:
         return results  # type: ignore[return-value]
 
     def __repr__(self) -> str:
-        return (
-            f"ProcessBackend(workers={self.workers}, heuristics_path={self.heuristics_path!r})"
-        )
+        return f"ProcessBackend(workers={self.workers})"

@@ -12,16 +12,16 @@ one PACE graph (plus its V-path closure), builds routers lazily, and shares a
 single destination-keyed :class:`HeuristicCache` across *all* of them, so the
 expensive destination-specific pre-computations (reverse shortest-path trees,
 Eq. 5 budget tables) are built once per destination rather than once per
-router instance.  Cache keys and persisted heuristic bundles are keyed by the
+router instance.  Cache keys and persisted heuristic entries are keyed by the
 graphs' *content fingerprints* rather than object identity, which makes them
 portable: any engine over structurally identical graphs — another engine
 instance, another process rebuilt from the same
 :class:`~repro.routing.backends.EngineSpec` — shares them without rebuilding.
 
 Batches enter through :meth:`RoutingEngine.route_many`, whose execution
-strategy is pluggable via :mod:`repro.routing.backends` (serial,
-thread fan-out, or a multiprocess worker pool); results are identical to
-routing each query alone, in input order.  :meth:`RoutingEngine.stats`
+strategy is pluggable via :mod:`repro.routing.backends` (serial or a
+multiprocess worker pool); results are identical to routing each query
+alone, in input order.  :meth:`RoutingEngine.stats`
 reports serving introspection (cache hits/misses, heuristic build seconds,
 per-method query counts, engine provenance).
 
@@ -40,7 +40,6 @@ import warnings
 from collections import Counter, OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
-from pathlib import Path as FilePath
 
 from repro.core.errors import ConfigurationError, DataError
 from repro.core.pace_graph import PaceGraph
@@ -56,10 +55,8 @@ from repro.persistence.heuristics import (
     binary_heuristic_to_dict,
     budget_heuristic_from_dict,
     budget_heuristic_to_dict,
-    load_heuristic_bundle,
-    save_heuristic_bundle,
 )
-from repro.routing.backends import ExecutionBackend, SerialBackend, ThreadBackend
+from repro.routing.backends import ExecutionBackend, SerialBackend
 from repro.routing.methods import METHOD_NAMES, MethodSpec
 from repro.routing.residency import (
     CacheCounters,
@@ -404,7 +401,7 @@ class EngineStats:
 
     ``cache_hits`` / ``cache_misses`` count heuristic-cache lookups (a miss
     triggers a build whose wall-clock cost accumulates into
-    ``heuristic_build_seconds``; entries loaded from a bundle count as
+    ``heuristic_build_seconds``; entries loaded from an artifact store count as
     neither).  ``queries_by_method`` counts queries accepted through
     :meth:`RoutingEngine.route` / :meth:`RoutingEngine.route_many` per
     canonical method name.  The residency trio — ``cache_faults`` (misses
@@ -444,28 +441,23 @@ class RoutingEngine:
     Queries are answered one at a time with :meth:`route` or in batches with
     :meth:`route_many`; batches are evaluated grouped by destination (so each
     destination's heuristic is built exactly once and then reused while hot)
-    and can fan out over a thread pool or, via
-    :class:`~repro.routing.backends.ProcessBackend`, over worker processes.
+    and can fan out over worker processes via
+    :class:`~repro.routing.backends.ProcessBackend`.
 
     Batch evaluation is purely an execution strategy: per-query results —
     best path, arrival probability, cost distribution — are identical to
     calling :meth:`route` once per query, because every router's search is
     deterministic given its (deterministically built, cached) heuristic.
 
-    The cache is also the unit of persistence: :meth:`save_heuristics` writes
-    every cached heuristic (binary ``getMin`` maps and Eq. 5 budget tables)
-    to one bundle file, and :meth:`prewarm` with a path loads such a bundle
-    back.  Bundle entries are tagged with the content fingerprint of the
-    graph they were built over, so a bundle saved by one engine loads into
-    any process whose graphs have equal content — the multiprocess serving
-    path — with zero rebuilds.
-
-    The engine is also the unit of *artifact* persistence:
-    :meth:`save_artifacts` writes the index (graphs) plus every cached
-    heuristic into a content-addressed
+    The engine is the unit of persistence: :meth:`save_artifacts`
+    writes the index (graphs) plus every cached heuristic (binary ``getMin``
+    maps and Eq. 5 budget tables) into a content-addressed
     :class:`~repro.persistence.store.ArtifactStore`, and
     :meth:`from_artifacts` boots an engine from such a store — fingerprints
-    verified, zero T-path mining, zero heuristic rebuilds.
+    verified, zero T-path mining, zero heuristic rebuilds.  Persisted
+    entries are tagged with the content fingerprint of the graph they were
+    built over, so a store saved by one engine boots any process whose
+    graphs have equal content.
 
     ``spec`` optionally records the :data:`~repro.routing.backends.EngineSpec`
     this engine was built from (a :class:`~repro.routing.backends.DatasetRecipe`
@@ -577,42 +569,18 @@ class RoutingEngine:
             count += 1
         return count
 
-    def prewarm(
-        self,
-        source: str | FilePath | MethodSpec,
-        destinations: Sequence[int] | None = None,
-    ) -> int:
-        """Warm the heuristic cache ahead of query traffic.
+    def prewarm(self, method: str | MethodSpec, destinations: Sequence[int]) -> int:
+        """Build the heuristics of ``method`` for ``destinations`` ahead of traffic.
 
-        Two forms are supported:
-
-        * ``prewarm(method, destinations)`` — *build* the heuristics of
-          ``method`` (a name or :class:`MethodSpec`) for the given
-          destinations (the offline investment),
-        * ``prewarm(path)`` — *load* every heuristic persisted by
-          :meth:`save_heuristics` (see :meth:`load_heuristics`), so a serving
-          process starts answering from the pre-computed tables instead of
-          rebuilding them.
-
-        Methods without destination-specific heuristics (``T-None``,
-        ``V-None``) have nothing to prewarm and are rejected with a
+        This is the offline investment: ``method`` is a name or
+        :class:`MethodSpec`, and every built heuristic lands in the shared
+        cache, from where :meth:`save_artifacts` persists it.  Methods without
+        destination-specific heuristics (``T-None``, ``V-None``) have nothing
+        to prewarm and are rejected with a
         :class:`~repro.core.errors.ConfigurationError` rather than silently
         warming nothing.  Returns the number of heuristics made hot.
         """
-        if destinations is None:
-            if isinstance(source, MethodSpec):
-                raise ConfigurationError(
-                    f"prewarm({source.canonical_name!r}) needs a destinations sequence; "
-                    "prewarm without destinations loads a heuristic bundle file"
-                )
-            if not FilePath(source).exists():
-                raise DataError(
-                    f"heuristic bundle file not found: {source} (prewarm without "
-                    "destinations loads a heuristic bundle from disk; to build "
-                    "heuristics for a method, pass a destinations sequence)"
-                )
-            return self.load_heuristics(source)
-        spec = MethodSpec.coerce(source)
+        spec = MethodSpec.coerce(method)
         if not spec.supports_prewarm:
             raise ConfigurationError(
                 f"method {spec.canonical_name!r} uses no destination-specific heuristic, "
@@ -625,7 +593,7 @@ class RoutingEngine:
         return len(destinations)
 
     # -------------------------------------------------------------- #
-    # Heuristic persistence (prewarm a serving process from disk)
+    # Heuristic entries (the persisted form of the cache)
     # -------------------------------------------------------------- #
     def _graph_flavour(self, fingerprint: str) -> str | None:
         if fingerprint == self._pace_graph.content_fingerprint():
@@ -648,7 +616,7 @@ class RoutingEngine:
 
         The content fingerprint is the authoritative identity; the signature
         (vertex/edge/T-path/V-path counts) is kept alongside it because it
-        yields a *readable* mismatch message and keeps bundles written before
+        yields a *readable* mismatch message and keeps v1 stores written before
         fingerprinting loadable.
         """
         network = self._pace_graph.network
@@ -657,22 +625,16 @@ class RoutingEngine:
             signature.append(self._updated_graph.num_vpaths)
         return signature
 
-    def save_heuristics(self, path: str | FilePath) -> int:
-        """Persist every cached heuristic to ``path`` as one bundle document.
+    def _heuristic_entries(self) -> list[dict]:
+        """The cache snapshot as tagged, portable heuristic entries.
 
-        Binary heuristics store their ``getMin`` maps, budget-specific
+        Binary heuristics carry their ``getMin`` maps, budget-specific
         heuristics their Eq. 5 tables plus ``getMin`` maps; each entry is
         tagged with the cache metadata (variant, δ, which graph it was built
         over, the graph's content fingerprint and structural signature)
         needed to re-key and validate it on load — in this process or any
-        other.  Returns the number of entries written.
+        other.
         """
-        entries = self._heuristic_entries()
-        save_heuristic_bundle(entries, path)
-        return len(entries)
-
-    def _heuristic_entries(self) -> list[dict]:
-        """The cache snapshot as tagged, portable heuristic-bundle entries."""
         entries: list[dict] = []
         for key, heuristic in sorted(self._cache.snapshot().items(), key=lambda kv: str(kv[0])):
             kind = key[0]
@@ -708,25 +670,20 @@ class RoutingEngine:
                 )
         return entries
 
-    def load_heuristics(self, path: str | FilePath) -> int:
-        """Load a :meth:`save_heuristics` bundle into the heuristic cache.
+    def _load_heuristic_entries(self, entries: Sequence[dict]) -> int:
+        """Validate tagged entries and seed the cache with them.
 
-        Entries are validated before they are served: a bundle written over a
-        graph with different *content* (other dataset, regime, τ, edge
-        weights, or V-path closure) is rejected with a
+        Entries written over a graph with different *content* (other dataset,
+        regime, τ, edge weights, or V-path closure) are rejected with a
         :class:`~repro.core.errors.DataError` — via the content fingerprint
-        when the bundle carries one, falling back to the structural signature
-        for bundles written before fingerprinting.  Budget tables that cannot
+        when the entry carries one, falling back to the structural signature
+        for entries written before fingerprinting.  Budget tables that cannot
         provide admissible bounds here are skipped — tables that do not cover
         this engine's ``settings.max_budget`` (residual budgets would cap at
         their grid) and tables built with ``grid_rounding="floor"`` (cells
         may under-estimate).  Skipped heuristics are simply rebuilt on
         demand.  Returns the number of entries loaded.
         """
-        return self._load_heuristic_entries(load_heuristic_bundle(path))
-
-    def _load_heuristic_entries(self, entries: Sequence[dict]) -> int:
-        """Validate tagged bundle entries and seed the cache with them."""
         loaded = 0
         for entry in entries:
             validated = self._validated_heuristic(entry)
@@ -1055,7 +1012,6 @@ class RoutingEngine:
         queries: Sequence[RoutingQuery],
         *,
         method: str | MethodSpec,
-        workers: int | None = None,
         backend: ExecutionBackend | None = None,
     ) -> list[RoutingResult]:
         """Evaluate a batch of queries, returning results in input order.
@@ -1063,21 +1019,16 @@ class RoutingEngine:
         Queries are processed grouped by destination so that each
         destination-specific heuristic is built once and stays hot for all its
         queries.  The execution strategy is the ``backend``
-        (:mod:`repro.routing.backends`): serial by default, a thread pool
-        with ``workers`` > 1 (kept for backwards compatibility with the
-        pre-backend API), or e.g. ``ProcessBackend(workers=4)`` to scale the
-        GIL-bound search loops across processes.  Every backend returns
+        (:mod:`repro.routing.backends`): serial by default, or e.g.
+        ``ProcessBackend(workers=4)`` to scale the GIL-bound search loops
+        across processes.  Every backend returns
         results identical to (and ordered like) the serial evaluation.
         """
         spec = MethodSpec.coerce(method)
         queries = list(queries)
         if not queries:
             return []
-        if backend is not None and workers is not None:
-            raise ConfigurationError(
-                "pass either workers= (legacy thread fan-out) or backend=, not both"
-            )
         if backend is None:
-            backend = ThreadBackend(workers) if workers is not None and workers > 1 else SerialBackend()
+            backend = SerialBackend()
         self._count_queries(spec.canonical_name, len(queries))
         return backend.run(self, spec, queries)

@@ -416,6 +416,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    # The headers and the body go out in separate writes; with Nagle's
+    # algorithm on, a keep-alive client's delayed ACK holds the body back
+    # by tens of milliseconds.
+    disable_nagle_algorithm = True
 
     @property
     def _route_server(self) -> RouteServer:
@@ -424,11 +428,15 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         """Silence the default stderr access log; /stats is the observable."""
 
-    def _send_json(self, status: int, payload: object) -> None:
+    def _send_json(self, status: int, payload: object, *, close: bool = False) -> None:
         data = strict_json_dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            # Also sets close_connection: the unread body must not be
+            # parsed as the next request on this connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -444,8 +452,23 @@ class _Handler(BaseHTTPRequestHandler):
                 pass
 
     def _read_body(self) -> bytes | None:
-        """The request body, or ``None`` (already answered) when oversized."""
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body, or ``None`` (already answered) when unreadable.
+
+        A ``Content-Length`` that is not a non-negative integer is a 400, an
+        oversized one a 413; either way the connection is closed.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(
+                400,
+                _error_body("invalid_request", f"invalid Content-Length {header!r}"),
+                close=True,
+            )
+            return None
         if length > self._route_server.config.max_body_bytes:
             self._send_json(
                 413,
@@ -454,6 +477,7 @@ class _Handler(BaseHTTPRequestHandler):
                     f"request body of {length} bytes exceeds the "
                     f"{self._route_server.config.max_body_bytes} byte limit",
                 ),
+                close=True,
             )
             return None
         return self.rfile.read(length)

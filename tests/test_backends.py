@@ -2,7 +2,7 @@
 
 These cover the route_many edge cases the serving layer relies on: duplicate
 queries in one batch, input-order preservation under every backend, worker
-exceptions propagating instead of hanging the pool, and heuristic bundles
+exceptions propagating instead of hanging the pool, and persisted heuristics
 crossing process boundaries via the graph content fingerprint.
 """
 
@@ -17,7 +17,6 @@ from repro.routing.backends import (
     EngineSpec,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     balanced_destination_chunks,
     destination_grouped_order,
 )
@@ -74,8 +73,8 @@ class TestOrderAndDuplicates:
 
     @pytest.mark.parametrize(
         "backend_factory",
-        [SerialBackend, lambda: ThreadBackend(workers=3), lambda: ProcessBackend(workers=2)],
-        ids=["serial", "thread", "process"],
+        [SerialBackend, lambda: ProcessBackend(workers=2)],
+        ids=["serial", "process"],
     )
     def test_every_backend_preserves_input_order(
         self, spec_engine, tiny_queries, backend_factory
@@ -144,18 +143,12 @@ class TestOrderAndDuplicates:
         assert results[0].query is tiny_queries[0]
         assert results[2].query is tiny_queries[2]
 
-    def test_workers_and_backend_are_mutually_exclusive(self, spec_engine, tiny_queries):
-        with pytest.raises(ConfigurationError, match="not both"):
-            spec_engine.route_many(
-                tiny_queries, method="T-B-P", workers=2, backend=SerialBackend()
-            )
-
 
 class TestWorkerFailures:
     @pytest.mark.parametrize(
         "backend_factory",
-        [SerialBackend, lambda: ThreadBackend(workers=2), lambda: ProcessBackend(workers=2)],
-        ids=["serial", "thread", "process"],
+        [SerialBackend, lambda: ProcessBackend(workers=2)],
+        ids=["serial", "process"],
     )
     def test_routing_failure_propagates_instead_of_hanging(
         self, spec_engine, backend_factory
@@ -184,24 +177,23 @@ class TestWorkerFailures:
 
 
 class TestCrossProcessHeuristics:
-    def test_bundle_round_trips_between_independently_built_engines(
+    def test_store_round_trips_between_independently_built_engines(
         self, spec_engine, tiny_queries, tmp_path
     ):
-        """The acceptance path: fingerprint-keyed bundles need zero rebuilds.
+        """The acceptance path: fingerprint-keyed entries need zero rebuilds.
 
-        The second engine is built independently from the same spec — new
-        objects, new ids, exactly what a worker process sees — so this only
-        passes because cache keys and bundle entries use content
-        fingerprints instead of ``id(graph)``.
+        The booted engine's graphs are new objects loaded from disk — exactly
+        what a worker process sees — so this only passes because cache keys
+        and persisted entries use content fingerprints instead of
+        ``id(graph)``.
         """
         destinations = sorted({q.destination for q in tiny_queries})
         spec_engine.prewarm("T-BS-60", destinations)
         spec_engine.prewarm("V-BS-60", destinations)
-        bundle = tmp_path / "bundle.json"
-        saved = spec_engine.save_heuristics(bundle)
-        assert saved == len(spec_engine.heuristic_cache)
+        manifest = spec_engine.save_artifacts(tmp_path / "store")
+        assert manifest.provenance["heuristic_entries"] == len(spec_engine.heuristic_cache)
 
-        fresh = TINY_SPEC.build_engine(settings=SETTINGS)
+        fresh = RoutingEngine.from_artifacts(tmp_path / "store")
         assert fresh.pace_graph is not spec_engine.pace_graph
         assert (
             fresh.pace_graph.content_fingerprint()
@@ -211,23 +203,13 @@ class TestCrossProcessHeuristics:
             fresh.updated_graph.content_fingerprint()
             == spec_engine.updated_graph.content_fingerprint()
         )
-        assert fresh.prewarm(bundle) == saved
+        assert len(fresh.heuristic_cache) == len(spec_engine.heuristic_cache)
         for method in ("T-BS-60", "V-BS-60"):
             expected = spec_engine.route_many(tiny_queries, method=method)
             warmed = fresh.route_many(tiny_queries, method=method)
             _assert_same_results(expected, warmed, tiny_queries)
         assert fresh.heuristic_cache.misses == 0  # nothing was rebuilt
         assert fresh.heuristic_cache.hits > 0
-
-    def test_process_workers_prewarm_from_bundle(self, spec_engine, tiny_queries, tmp_path):
-        destinations = sorted({q.destination for q in tiny_queries})
-        spec_engine.prewarm("T-BS-60", destinations)
-        bundle = tmp_path / "bundle.json"
-        spec_engine.save_heuristics(bundle)
-        serial = spec_engine.route_many(tiny_queries, method="T-BS-60")
-        with ProcessBackend(workers=2, heuristics_path=bundle) as backend:
-            results = spec_engine.route_many(tiny_queries, method="T-BS-60", backend=backend)
-        _assert_same_results(serial, results, tiny_queries)
 
     def test_process_workers_boot_from_artifacts(self, spec_engine, tiny_queries, tmp_path):
         """The deployment fan-out: every worker cold-boots from the store.

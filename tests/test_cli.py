@@ -42,7 +42,7 @@ class TestParser:
         )
         assert args.method == method
         prewarm = build_parser().parse_args(
-            ["prewarm", "--method", method, "--destinations", "5", "--out", "x.json"]
+            ["prewarm", "--method", method, "--destinations", "5", "--artifacts", "store"]
         )
         assert prewarm.method == method
 
@@ -56,12 +56,30 @@ class TestParser:
 
     def test_route_batch_parses(self):
         args = build_parser().parse_args(
-            ["route-batch", "--input", "requests.jsonl", "--backend", "thread",
+            ["route-batch", "--input", "requests.jsonl", "--backend", "process",
              "--workers", "2"]
         )
         assert args.command == "route-batch"
-        assert args.backend == "thread"
+        assert args.backend == "process"
         assert args.workers == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["route", "--source", "0", "--destination", "5", "--budget", "300",
+             "--heuristics", "h.json"],
+            ["route-batch", "--input", "r.jsonl", "--heuristics", "h.json"],
+            ["route-batch", "--input", "r.jsonl", "--backend", "thread"],
+            ["prewarm", "--destinations", "5", "--artifacts", "store", "--out", "h.json"],
+            ["prewarm", "--destinations", "5"],
+        ],
+        ids=["route-heuristics", "batch-heuristics", "batch-thread", "prewarm-out",
+             "prewarm-no-store"],
+    )
+    def test_bundle_and_thread_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
 
 
 class TestCommands:
@@ -196,32 +214,40 @@ class TestCommands:
         assert len(out) == 1
         assert json.loads(out[0])["ok"]
 
-    def test_prewarm_then_route_from_bundle(self, capsys, tmp_path, small_dataset):
+    def test_prewarm_into_store_then_route(self, capsys, tmp_path, small_dataset):
         trajectory = next(t for t in small_dataset.peak if t.num_edges >= 4)
         destination = trajectory.path.target
-        bundle = tmp_path / "heuristics.json"
+        store = tmp_path / "store"
         assert main(
             [
-                "prewarm",
+                "build-artifacts",
                 "--dataset",
                 "tiny",
-                "--method",
-                "T-BS-60",
-                "--destinations",
-                str(destination),
                 "--out",
-                str(bundle),
+                str(store),
+                "--sweeps",
+                "1",
                 "--max-budget",
                 str(max(600.0, trajectory.total_cost * 4)),
             ]
         ) == 0
-        assert "bundle entries" in capsys.readouterr().out
-        assert bundle.exists()
+        assert main(
+            [
+                "prewarm",
+                "--artifacts",
+                str(store),
+                "--method",
+                "T-BS-60",
+                "--destinations",
+                str(destination),
+            ]
+        ) == 0
+        assert "store entries" in capsys.readouterr().out
         exit_code = main(
             [
                 "route",
-                "--dataset",
-                "tiny",
+                "--artifacts",
+                str(store),
                 "--method",
                 "T-BS-60",
                 "--source",
@@ -230,13 +256,10 @@ class TestCommands:
                 str(destination),
                 "--budget",
                 str(trajectory.total_cost * 2),
-                "--heuristics",
-                str(bundle),
             ]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "prewarmed 1 heuristics" in output
         assert "P(arrive within" in output
 
     def test_build_artifacts_then_serve_from_store(self, capsys, tmp_path, small_dataset):
@@ -342,11 +365,11 @@ class TestCommands:
         # v2 default layout: one addressable document per prewarmed heuristic.
         assert manifest.heuristic_entry_names()
 
-    def test_prewarm_without_out_or_artifacts_errors(self, capsys):
-        assert main(
-            ["prewarm", "--dataset", "tiny", "--method", "T-B-P", "--destinations", "3"]
-        ) == 2
-        assert "--out" in capsys.readouterr().err
+    def test_prewarm_requires_a_store(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["prewarm", "--method", "T-B-P", "--destinations", "3"])
+        assert excinfo.value.code == 2
+        assert "--artifacts" in capsys.readouterr().err
 
     def test_route_from_missing_store_fails_cleanly(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -401,21 +424,14 @@ class TestCommands:
         ) == 2
         assert "heuristic-table coverage" in capsys.readouterr().err
 
-    def test_prewarm_rejects_max_budget_with_artifacts(self, capsys, tmp_path):
-        store = tmp_path / "store"
-        assert main(
-            ["build-artifacts", "--dataset", "tiny", "--out", str(store), "--sweeps", "1"]
-        ) == 0
-        capsys.readouterr()
+    def test_route_batch_rejects_max_budget_with_artifacts(self, capsys, tmp_path):
         assert main(
             [
-                "prewarm",
+                "route-batch",
                 "--artifacts",
-                str(store),
-                "--method",
-                "T-B-P",
-                "--destinations",
-                "3",
+                str(tmp_path / "store"),
+                "--input",
+                str(tmp_path / "requests.jsonl"),
                 "--max-budget",
                 "5000",
             ]

@@ -23,11 +23,9 @@ from repro.persistence.heuristics import (
     budget_heuristic_from_dict,
     budget_heuristic_to_dict,
     heuristic_table_from_dict,
+    heuristic_bundle_entries,
+    heuristic_bundle_payload,
     heuristic_table_to_dict,
-    load_heuristic_bundle,
-    load_heuristic_table,
-    save_heuristic_bundle,
-    save_heuristic_table,
 )
 from repro.persistence.codecs import (
     decode_column_document,
@@ -327,13 +325,12 @@ class TestHeuristicPersistence:
         with pytest.raises(DataError):
             binary_heuristic_from_dict({"destination": 1})
 
-    def test_table_round_trip(self, paper_example, tmp_path):
+    def test_table_round_trip(self, paper_example):
         heuristic = BudgetSpecificHeuristic(
             paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=3, max_budget=36)
         )
-        path = tmp_path / "table.json"
-        save_heuristic_table(heuristic, path)
-        restored = load_heuristic_table(path)
+        text = strict_json_dumps(heuristic_table_to_dict(heuristic))
+        restored = heuristic_table_from_dict(strict_json_loads(text, what="table"))
         assert restored.destination == VD
         assert restored.delta == 3
         for vertex in range(8):
@@ -349,11 +346,9 @@ class TestHeuristicPersistence:
         payload = heuristic_table_to_dict(heuristic.table)
         assert heuristic_table_from_dict(payload).storage_cells() == heuristic.table.storage_cells()
 
-    def test_table_malformed(self, tmp_path):
+    def test_table_malformed(self):
         with pytest.raises(DataError):
             heuristic_table_from_dict({"format_version": 99})
-        with pytest.raises(DataError):
-            load_heuristic_table(tmp_path / "missing.json")
 
     def test_non_numeric_vertex_is_data_error(self, paper_example):
         """Regression: int('spindle') used to escape as a bare ValueError."""
@@ -428,7 +423,7 @@ class TestHeuristicPersistence:
 
 
 class TestHeuristicBundle:
-    def test_round_trip(self, paper_example, tmp_path):
+    def test_round_trip(self, paper_example):
         heuristic = BudgetSpecificHeuristic(
             paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=6, max_budget=36)
         )
@@ -447,24 +442,19 @@ class TestHeuristicBundle:
                 "heuristic": binary_heuristic_to_dict(heuristic.binary),
             },
         ]
-        path = tmp_path / "bundle.json"
-        save_heuristic_bundle(entries, path)
-        loaded = load_heuristic_bundle(path)
+        text = strict_json_dumps(heuristic_bundle_payload(entries))
+        loaded = heuristic_bundle_entries(strict_json_loads(text, what="bundle"))
         assert [e["kind"] for e in loaded] == ["budget", "binary"]
         restored = budget_heuristic_from_dict(loaded[0]["heuristic"])
         assert restored.table.storage_cells() == heuristic.table.storage_cells()
 
-    def test_missing_and_malformed(self, tmp_path):
+    def test_malformed(self):
         with pytest.raises(DataError):
-            load_heuristic_bundle(tmp_path / "missing.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "something-else", "format_version": 1, "entries": []}')
+            heuristic_bundle_entries({"kind": "something-else", "format_version": 1, "entries": []})
         with pytest.raises(DataError):
-            load_heuristic_bundle(bad)
-        worse = tmp_path / "worse.json"
-        worse.write_text('{"kind": "heuristic-bundle", "format_version": 99, "entries": []}')
+            heuristic_bundle_entries({"kind": "heuristic-bundle", "format_version": 99, "entries": []})
         with pytest.raises(DataError):
-            load_heuristic_bundle(worse)
+            heuristic_bundle_entries({"kind": "heuristic-bundle", "format_version": 1, "entries": {}})
 
 
 class TestFormatVersionHandling:
@@ -500,11 +490,10 @@ class TestFormatVersionHandling:
         with pytest.raises(DataError, match=r"budget heuristic format version 7.*supports version 1"):
             budget_heuristic_from_dict(payload)
 
-    def test_bundle_rejects_unknown_version_naming_it(self, tmp_path):
-        path = tmp_path / "future.json"
-        path.write_text('{"kind": "heuristic-bundle", "format_version": 3, "entries": []}')
+    def test_bundle_rejects_unknown_version_naming_it(self):
+        payload = {"kind": "heuristic-bundle", "format_version": 3, "entries": []}
         with pytest.raises(DataError, match=r"heuristic bundle format version 3.*supports version 1"):
-            load_heuristic_bundle(path)
+            heuristic_bundle_entries(payload)
 
     def test_legacy_version_1_documents_still_load(self, paper_example, tmp_path):
         """Regression: verbatim version-1 documents from earlier releases."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import pytest
 
@@ -70,6 +71,31 @@ class TestPublicApi:
             if name != "__version__" and not (getattr(repro, name).__doc__ or "").strip()
         ]
         assert not undocumented, f"public API members without docstrings: {undocumented}"
+
+    def test_one_persistence_path_and_no_thread_backend(self):
+        """Heuristics persist only through the artifact store; batches fan out
+        serially or over processes."""
+        from repro.persistence import heuristics
+        from repro.routing import backends
+        from repro.routing.engine import RoutingEngine
+
+        for module, name in (
+            (repro, "ThreadBackend"),
+            (importlib.import_module("repro.routing"), "ThreadBackend"),
+            (backends, "ThreadBackend"),
+            (importlib.import_module("repro.persistence"), "save_heuristic_bundle"),
+            (heuristics, "save_heuristic_bundle"),
+            (heuristics, "load_heuristic_bundle"),
+            (heuristics, "save_heuristic_table"),
+            (heuristics, "load_heuristic_table"),
+            (RoutingEngine, "save_heuristics"),
+            (RoutingEngine, "load_heuristics"),
+        ):
+            assert not hasattr(module, name), name
+        assert "heuristics_path" not in inspect.signature(backends.ProcessBackend).parameters
+        assert "workers" not in inspect.signature(RoutingEngine.route_many).parameters
+        destinations = inspect.signature(RoutingEngine.prewarm).parameters["destinations"]
+        assert destinations.default is inspect.Parameter.empty
 
     def test_error_hierarchy(self):
         from repro.core import errors

@@ -40,7 +40,6 @@ from repro.routing import (
     RoutingEngine,
     RoutingQuery,
     SerialBackend,
-    ThreadBackend,
 )
 from repro.routing.residency import CacheCounters, heuristic_nbytes, normalise_prewarm
 
@@ -184,8 +183,8 @@ class TestDifferentialRouting:
 
     @pytest.mark.parametrize(
         "backend_factory",
-        [SerialBackend, lambda: ThreadBackend(4), lambda: ProcessBackend(2)],
-        ids=["serial", "thread", "process"],
+        [SerialBackend, lambda: ProcessBackend(2)],
+        ids=["serial", "process"],
     )
     def test_route_many_on_every_backend(
         self, mined, store_v2, eager_results, backend_factory

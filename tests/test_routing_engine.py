@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.errors import ConfigurationError, DataError
 from repro.datasets.paper_example import VD, VS
 from repro.evaluation.workloads import WorkloadConfig, generate_workload
+from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
+from repro.persistence.heuristics import budget_heuristic_to_dict
+from repro.persistence.store import ArtifactStore
 from repro.routing.engine import (
     METHOD_NAMES,
     HeuristicCache,
@@ -116,11 +122,14 @@ class TestRoutingEngine:
             if result.path is not None:
                 assert result.path.edges == single.path.edges
 
-    def test_route_many_parallel_matches_serial(self, paper_example, updated_example):
+    def test_concurrent_routes_match_serial(self, paper_example, updated_example):
         queries = _example_queries(paper_example)
         serial = _engine(paper_example, updated_example).route_many(queries, method="V-BS-60")
         parallel_engine = _engine(paper_example, updated_example)
-        parallel = parallel_engine.route_many(queries, method="V-BS-60", workers=4)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(
+                pool.map(lambda query: parallel_engine.route(query, method="V-BS-60"), queries)
+            )
         for a, b in zip(serial, parallel):
             assert a.probability == pytest.approx(b.probability, abs=1e-12)
             assert (a.path is None) == (b.path is None)
@@ -210,19 +219,33 @@ class TestRoutingEngine:
         engine = _engine(paper_example, updated_example)
         spec = MethodSpec(graph="pace", heuristic="budget", delta=60.0)
         assert engine.prewarm(spec, [VD]) == 1
-        with pytest.raises(ConfigurationError, match="destinations"):
-            engine.prewarm(spec)
 
     def test_router_instances_are_cached(self, paper_example, updated_example):
         engine = _engine(paper_example, updated_example)
         assert engine.router("T-B-P") is engine.router("T-B-P")
 
 
-class TestHeuristicPersistenceRoundTrip:
-    """Acceptance check: prewarming from disk replaces the offline rebuild.
+def _store_with_entries(root, pace, updated, settings, entries) -> ArtifactStore:
+    """A store over ``pace``/``updated`` holding exactly the given tagged entries."""
+    store = ArtifactStore(root)
+    store.save(
+        graph=updated if updated is not None else pace,
+        fingerprints={
+            "pace": pace.content_fingerprint(),
+            "updated": None if updated is None else updated.content_fingerprint(),
+        },
+        settings=asdict(settings),
+        heuristic_entries=entries,
+    )
+    return store
 
-    An engine that loaded persisted heuristics must answer every query
-    identically to one that built them fresh, without a single cache miss.
+
+class TestHeuristicPersistenceRoundTrip:
+    """Acceptance check: booting from a store replaces the offline rebuild.
+
+    An engine booted from persisted heuristics must answer every query
+    identically to one that built them fresh, without a single cache miss —
+    and every entry the boot cannot serve admissibly is skipped or refused.
     """
 
     # V-B-P is included deliberately: its binary heuristic is requested through
@@ -230,20 +253,17 @@ class TestHeuristicPersistenceRoundTrip:
     # fingerprint, shared with T-B-P — the round-trip must preserve that.
     METHODS = ("T-B-P", "V-B-P", "T-BS-60", "V-BS-60")
 
-    def test_prewarm_from_disk_matches_fresh_build(
-        self, paper_example, updated_example, tmp_path
-    ):
+    def test_store_boot_matches_fresh_build(self, paper_example, updated_example, tmp_path):
         queries = _example_queries(paper_example)
         fresh = _engine(paper_example, updated_example)
         fresh_results = {
             method: fresh.route_many(queries, method=method) for method in self.METHODS
         }
-        bundle = tmp_path / "heuristics.json"
-        saved = fresh.save_heuristics(bundle)
-        assert saved == len(fresh.heuristic_cache)
+        manifest = fresh.save_artifacts(tmp_path / "store")
+        assert manifest.provenance["heuristic_entries"] == len(fresh.heuristic_cache)
 
-        warmed = _engine(paper_example, updated_example)
-        assert warmed.prewarm(bundle) == saved
+        warmed = RoutingEngine.from_artifacts(str(tmp_path / "store"))
+        assert len(warmed.heuristic_cache) == len(fresh.heuristic_cache)
         for method in self.METHODS:
             for query, expected in zip(queries, fresh_results[method]):
                 result = warmed.route(query, method=method)
@@ -254,22 +274,6 @@ class TestHeuristicPersistenceRoundTrip:
         # Nothing was rebuilt: every heuristic came from disk.
         assert warmed.heuristic_cache.misses == 0
         assert warmed.heuristic_cache.hits > 0
-
-    def test_prewarm_accepts_string_paths(self, paper_example, updated_example, tmp_path):
-        engine = _engine(paper_example, updated_example)
-        engine.prewarm("T-BS-60", [VD])
-        bundle = tmp_path / "bundle.json"
-        engine.save_heuristics(str(bundle))
-        other = _engine(paper_example, updated_example)
-        assert other.prewarm(str(bundle)) == 1
-
-    def test_prewarm_method_without_destinations_is_rejected(
-        self, paper_example, updated_example
-    ):
-        # A method name is not a bundle file; the error explains both forms.
-        engine = _engine(paper_example, updated_example)
-        with pytest.raises(DataError, match="destinations"):
-            engine.prewarm("T-BS-60")
 
     def test_undersized_budget_tables_are_skipped_not_served(
         self, paper_example, updated_example, tmp_path
@@ -284,13 +288,12 @@ class TestHeuristicPersistenceRoundTrip:
             paper_example.pace_graph, updated_example, settings=RouterSettings(max_budget=24.0)
         )
         small.prewarm("T-BS-6", [VD])
-        bundle = tmp_path / "small.json"
-        assert small.save_heuristics(bundle) == 1
+        small.save_artifacts(tmp_path / "small")
 
-        big = RoutingEngine(
-            paper_example.pace_graph, updated_example, settings=RouterSettings(max_budget=120.0)
+        big = RoutingEngine.from_artifacts(
+            tmp_path / "small", settings=RouterSettings(max_budget=120.0)
         )
-        assert big.prewarm(bundle) == 0  # undersized table skipped
+        assert len(big.heuristic_cache) == 0  # undersized table skipped
         query = RoutingQuery(VS, VD, budget=40.0)
         warmed_result = big.route(query, method="T-BS-6")
         assert big.heuristic_cache.misses == 1  # rebuilt, not served stale
@@ -305,57 +308,53 @@ class TestHeuristicPersistenceRoundTrip:
         self, paper_example, updated_example, tmp_path
     ):
         """Floor-built cells may under-estimate; routing needs admissible bounds."""
-        from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
-        from repro.persistence.heuristics import budget_heuristic_to_dict, save_heuristic_bundle
-
+        pace = paper_example.pace_graph
         floor_heuristic = BudgetSpecificHeuristic(
-            paper_example.pace_graph,
-            VD,
-            BudgetHeuristicConfig(delta=60, max_budget=120, grid_rounding="floor"),
+            pace, VD, BudgetHeuristicConfig(delta=60, max_budget=120, grid_rounding="floor")
         )
-        network = paper_example.pace_graph.network
         entry = {
             "kind": "budget",
             "delta": 60.0,
             "graph": "pace",
             "destination": VD,
-            "graph_signature": [
-                network.num_vertices,
-                network.num_edges,
-                paper_example.pace_graph.num_tpaths,
-            ],
+            "graph_fingerprint": pace.content_fingerprint(),
             "heuristic": budget_heuristic_to_dict(floor_heuristic),
         }
-        bundle = tmp_path / "floor.json"
-        save_heuristic_bundle([entry], bundle)
-        engine = _engine(paper_example, updated_example)
-        assert engine.prewarm(bundle) == 0
+        settings = RouterSettings(max_budget=120.0)
+        _store_with_entries(tmp_path / "floor", pace, updated_example, settings, [entry])
+        engine = RoutingEngine.from_artifacts(tmp_path / "floor")
+        assert len(engine.heuristic_cache) == 0
         engine.route(RoutingQuery(VS, VD, budget=30.0), method="T-BS-60")
         assert engine.heuristic_cache.misses == 1  # rebuilt with ceil rounding
 
-    def test_bundle_from_different_graph_is_rejected(
+    def test_entries_from_different_graph_are_rejected(
         self, paper_example, updated_example, small_pace_graph, tmp_path
     ):
         engine = _engine(paper_example, updated_example)
         engine.prewarm("T-BS-60", [VD])
-        bundle = tmp_path / "bundle.json"
-        engine.save_heuristics(bundle)
-        other = RoutingEngine(small_pace_graph, None, settings=RouterSettings(max_budget=120.0))
+        engine.save_artifacts(tmp_path / "example")
+        entries = ArtifactStore.open(tmp_path / "example").load_heuristic_entries()
+        settings = RouterSettings(max_budget=120.0)
+        _store_with_entries(tmp_path / "other", small_pace_graph, None, settings, entries)
         with pytest.raises(DataError, match="different graph"):
-            other.prewarm(bundle)
+            RoutingEngine.from_artifacts(tmp_path / "other")
 
     def test_updated_graph_tables_skipped_without_vpaths(
         self, paper_example, updated_example, tmp_path
     ):
-        # Save from an engine with the V-path closure, load into one without.
+        # Entries saved with the V-path closure, booted over a store without one.
         full = _engine(paper_example, updated_example)
         full.prewarm("V-BS-60", [VD])
         full.prewarm("T-BS-60", [VD])
-        bundle = tmp_path / "bundle.json"
-        assert full.save_heuristics(bundle) == 2
-        plain = RoutingEngine(paper_example.pace_graph, None, settings=RouterSettings(max_budget=120.0))
+        full.save_artifacts(tmp_path / "full")
+        entries = ArtifactStore.open(tmp_path / "full").load_heuristic_entries()
+        assert len(entries) == 2
+        pace = paper_example.pace_graph
+        _store_with_entries(tmp_path / "plain", pace, None, full.settings, entries)
+        plain = RoutingEngine.from_artifacts(tmp_path / "plain")
+        assert plain.updated_graph is None
         # Only the plain-graph table is loadable; the V-path one is skipped.
-        assert plain.prewarm(bundle) == 1
+        assert len(plain.heuristic_cache) == 1
         plain.route(RoutingQuery(VS, VD, budget=30.0), method="T-BS-60")
         assert plain.heuristic_cache.misses == 0
 

@@ -11,9 +11,14 @@ the wire-format extensions (``overloaded`` / ``deadline_exceeded`` codes,
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -376,6 +381,43 @@ class TestRouteServerHTTP:
             )
         assert status == 413
         assert body["error"]["code"] == "invalid_request"
+
+    def test_keep_alive_round_trips_are_not_stalled(self, serving_url):
+        """Headers and body go out in two writes; Nagle must not hold the body."""
+        url = urllib.parse.urlsplit(serving_url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            seconds = []
+            for _ in range(10):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                seconds.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.020
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_invalid_content_length_is_a_structured_400(self, serving_url, length):
+        url = urllib.parse.urlsplit(serving_url)
+        request = (
+            f"POST /route HTTP/1.1\r\nHost: {url.hostname}\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+            sock.sendall(request)
+            reply = b""
+            # Reading to EOF proves the server closed the connection.
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"connection: close" in head.lower()
+        payload = json.loads(body)
+        assert payload["ok"] is False
+        assert payload["error"]["code"] == "invalid_request"
 
 
 class TestServerLifecycle:
