@@ -1,29 +1,19 @@
-"""Benchmark: columnar v2 artifacts vs v1 JSON, and band vs dense Bellman memory.
+"""Benchmark: band-compressed vs dense Bellman build memory.
 
-Two measurements pin the country-scale refactor on the city-scale build:
+One destination's budget table is built over a fine, country-style budget
+grid (wide ``l``/``s`` bands, the expensive corner of Fig. 12) twice: with
+the historical dense ``V × (η+1)`` U mirror and with the band-compressed
+mirror that replaced it.  ``tracemalloc`` peaks must show the band build
+**measurably below** the dense baseline, and the two tables must agree cell
+for cell (the dense path is itself pinned to the scalar oracle by
+``tests/test_heuristic_reference.py``, so equality here chains band -> dense
+-> scalar).
 
-1. **Store format** — the same engine (index plus prewarmed Eq. 5 budget
-   tables) is persisted once as a v1 JSON store and once as a v2 columnar
-   store; the benchmark reports both sizes and cold-boot times and asserts
-   the v2 store is strictly smaller.  (Parity and ``misses == 0`` for both
-   formats are asserted in ``tests/test_artifact_v2.py``; this file only
-   measures.)
-
-2. **Bellman build memory** — one destination's budget table is built over a
-   fine, country-style budget grid (wide ``l``/``s`` bands, the expensive
-   corner of Fig. 12) twice: with the historical dense ``V × (η+1)`` U mirror
-   and with the band-compressed mirror that replaced it.  ``tracemalloc``
-   peaks must show the band build **measurably below** the dense baseline,
-   and the two tables must agree cell for cell (the dense path is itself
-   pinned to the scalar oracle by ``tests/test_heuristic_reference.py``, so
-   equality here chains band -> dense -> scalar).
-
-A combined report is written to ``results/artifact_v2_bench.txt``.
+The report is written to ``results/artifact_v2_bench.txt``.
 """
 
 from __future__ import annotations
 
-import time
 import tracemalloc
 
 from repro.evaluation.experiments import ExperimentScale
@@ -31,29 +21,12 @@ from repro.evaluation.reporting import render_report, write_report
 from repro.heuristics.budget import BudgetHeuristicConfig, build_heuristic_table
 from repro.routing import RoutingEngine
 
-#: Destinations whose budget tables make the stores' heuristic payload real.
-PREWARM_DESTINATIONS = 4
 #: The country-scale stress preset supplies the memory-comparison grid: its
 #: fine δ over the city store's budgets yields η = 250 — wide l/s bands, the
 #: regime the band-compressed mirror exists for.  Running the preset here (on
 #: the cached city graph) keeps it exercised without a minutes-long
 #: country-like mine in CI; the full run is the same code path at larger V.
 COUNTRY = ExperimentScale.country()
-#: The v2 store must undercut the v1 store by at least this factor.
-SIZE_RATIO_CEILING = 0.9
-
-
-def _store_bytes(root):
-    return sum(path.stat().st_size for path in root.iterdir() if path.is_file())
-
-
-def _best_of(function, repeats: int = 3) -> tuple[float, object]:
-    best_seconds, result = float("inf"), None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = function()
-        best_seconds = min(best_seconds, time.perf_counter() - started)
-    return best_seconds, result
 
 
 def _traced_build(pace, destination, config, mirror) -> tuple[object, int]:
@@ -66,32 +39,12 @@ def _traced_build(pace, destination, config, mirror) -> tuple[object, int]:
     return table, peak
 
 
-def test_columnar_store_and_band_memory(city_store, tmp_path):
+def test_band_memory(city_store):
     store_root, mined, _ = city_store
     origin = mined if mined is not None else RoutingEngine.from_artifacts(store_root)
     vertices = sorted(origin.pace_graph.network.vertex_ids())
-    destinations = vertices[:: max(1, len(vertices) // PREWARM_DESTINATIONS)][
-        :PREWARM_DESTINATIONS
-    ]
-    origin.prewarm("T-BS-60", destinations)
-
-    # ---------------------------------------------------------------- #
-    # 1. Store format: size and cold-boot time, v1 vs v2
-    # ---------------------------------------------------------------- #
-    v1_root, v2_root = tmp_path / "v1", tmp_path / "v2"
-    origin.save_artifacts(v1_root, format_version=1)
-    origin.save_artifacts(v2_root, format_version=2)
-    v1_bytes, v2_bytes = _store_bytes(v1_root), _store_bytes(v2_root)
-    ratio = v2_bytes / v1_bytes
-    v1_boot, _ = _best_of(lambda: RoutingEngine.from_artifacts(v1_root))
-    v2_boot, booted = _best_of(lambda: RoutingEngine.from_artifacts(v2_root))
-    assert booted.stats().cache_misses == 0
-
-    # ---------------------------------------------------------------- #
-    # 2. Bellman build memory: band-compressed vs dense U mirror
-    # ---------------------------------------------------------------- #
     pace = origin.pace_graph
-    destination = destinations[0]
+    destination = vertices[0]
     config = BudgetHeuristicConfig(
         delta=COUNTRY.delta,
         max_budget=origin.settings.max_budget,
@@ -105,15 +58,9 @@ def test_columnar_store_and_band_memory(city_store, tmp_path):
     dense_matrix_bytes = len(vertices) * (config.eta + 1) * 8
 
     report = render_report(
-        "Columnar v2 artifacts and band-compressed Bellman build: aalborg-like",
+        "Band-compressed Bellman build: aalborg-like",
         ("metric", "value"),
         [
-            ("v1 store (KB)", round(v1_bytes / 1024.0, 1)),
-            ("v2 store (KB)", round(v2_bytes / 1024.0, 1)),
-            ("v2 / v1 size", round(ratio, 3)),
-            ("v1 cold boot (s)", round(v1_boot, 3)),
-            ("v2 cold boot (s)", round(v2_boot, 3)),
-            ("prewarmed budget tables", len(destinations)),
             ("memory grid (delta / eta)", f"{COUNTRY.delta:g} / {config.eta}"),
             ("dense-mirror build peak (KB)", round(dense_peak / 1024.0, 1)),
             ("band-mirror build peak (KB)", round(band_peak / 1024.0, 1)),
@@ -124,10 +71,6 @@ def test_columnar_store_and_band_memory(city_store, tmp_path):
     )
     write_report(report, "artifact_v2_bench.txt")
 
-    assert ratio <= SIZE_RATIO_CEILING, (
-        f"v2 store ({v2_bytes} bytes) is {ratio:.2f}x the v1 store ({v1_bytes} "
-        f"bytes); the columnar format must stay below {SIZE_RATIO_CEILING:.0%}"
-    )
     assert band_peak < dense_peak, (
         f"band-compressed build peaked at {band_peak} bytes, not below the "
         f"dense-mirror baseline's {dense_peak} bytes"

@@ -4,8 +4,8 @@ One deployment is an artifact store; an operation has many — one per city,
 regime and format generation.  This example runs the whole fleet story
 against two tiny stores:
 
-1. mine one engine and persist it twice (a v1-format store and a v2-format
-   store, standing in for an old and a new deployment),
+1. copy the repository's v1 fixture store (``tests/fixtures/tiny-v1-store``,
+   an old deployment) and mine the same city into a v2 store (a new one),
 2. register both into a catalog and answer fleet questions (which stores
    serve this graph fingerprint?  which are still on v1 artifacts?),
 3. republish one store behind the catalog's back and watch ``--stale``
@@ -23,6 +23,7 @@ Exits non-zero if any contract is violated.
 
 from __future__ import annotations
 
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -44,6 +45,8 @@ from repro.catalog import (
 from repro.routing import DatasetRecipe, RouterSettings, RoutingEngine
 
 SETTINGS = RouterSettings(max_budget=900.0, max_explored=2000)
+#: A store in the v1 format, which only the migrator still reads.
+V1_FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "tiny-v1-store"
 
 
 def main() -> int:
@@ -57,13 +60,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="fleet-catalog-") as scratch:
         root = Path(scratch)
 
-        print("\n--- 1. Mine once, persist two deployments ---")
+        print("\n--- 1. An old deployment and a freshly mined one ---")
         engine = DatasetRecipe(dataset="tiny", regime="peak", tau=20).build_engine(
             settings=SETTINGS
         )
         old_store, new_store = root / "city-v1", root / "city-v2"
-        engine.save_artifacts(old_store, format_version=1)
-        engine.save_artifacts(new_store, format_version=2)
+        shutil.copytree(V1_FIXTURE, old_store, ignore=shutil.ignore_patterns("README.md"))
+        engine.save_artifacts(new_store)
         print(f"    {old_store.name} (v1 artifacts), {new_store.name} (v2 artifacts)")
 
         print("\n--- 2. Register the fleet and query it ---")
@@ -96,8 +99,8 @@ def main() -> int:
             )
 
             print("\n--- 4. Fleet migration, killed after store 1, then resumed ---")
-            operation = create_operation(db, "migrate", {"to": 2}, list_stores(db))
-            real_worker = migrate_worker(2)
+            operation = create_operation(db, "migrate", {}, list_stores(db))
+            real_worker = migrate_worker()
             calls: list[str] = []
 
             def killer(db_, record):
@@ -114,7 +117,7 @@ def main() -> int:
             statuses = [step.status for step in get_operation(db, operation.operation_id).steps]
             check(statuses == ["done", "running"], f"mid-kill step state: {statuses}")
 
-            resumable = find_resumable(db, "migrate", {"to": 2})
+            resumable = find_resumable(db, "migrate", {})
             check(
                 resumable is not None
                 and resumable.operation_id == operation.operation_id,

@@ -39,7 +39,6 @@ from repro.heuristics import (
     PaceBinaryHeuristic,
 )
 from repro.network import GridCityConfig, RoadNetwork, generate_grid_city
-from repro.persistence import load_index, save_index
 from repro.routing import (
     METHOD_NAMES,
     EngineSpec,
@@ -88,9 +87,6 @@ __all__ = [
     "VPathBuilderConfig",
     "build_vpaths",
     "UpdatedPaceGraph",
-    # persistence
-    "save_index",
-    "load_index",
     # heuristics
     "NoHeuristic",
     "EuclideanBinaryHeuristic",

@@ -669,14 +669,14 @@ class SqliteDisciplineRule(Rule):
 
 @register
 class ResidencyDisciplineRule(Rule):
-    """R8: persistence decode paths stream v2 documents, never slurp them.
+    """R8: persistence decode paths stream column documents, never slurp them.
 
-    PR 10's country-scale boots hinge on the v2 column containers being
+    PR 10's country-scale boots hinge on the column containers being
     *mapped*, not read: one whole-file ``read()`` of a country-sized index
     holds every byte in Python heap alongside the decoded arrays, doubling
     the boot peak the streaming reader was built to eliminate.  Whole-file
-    reads in ``persistence/`` are therefore opt-in: v1 JSON documents and
-    manifest/summary reads carry an explicit suppression, everything else
+    reads in ``persistence/`` are therefore opt-in: the migrator's JSON
+    documents and manifest/summary reads carry an explicit suppression, everything else
     must go through :class:`~repro.persistence.codecs.ColumnDocumentReader`.
     Flagged:
 
@@ -691,7 +691,7 @@ class ResidencyDisciplineRule(Rule):
 
     rule_id = "residency-discipline"
     description = (
-        "persistence/ must stream v2 column documents through the mmap reader: "
+        "persistence/ must stream column documents through the mmap reader: "
         "whole-file read()/read_bytes()/read_text() calls need an explicit "
         "suppression, and mmap maps must be opened ACCESS_READ"
     )
@@ -713,10 +713,10 @@ class ResidencyDisciplineRule(Rule):
                 yield self.violation(
                     source,
                     node,
-                    f".{method}() slurps a whole document into heap; v2 column "
+                    f".{method}() slurps a whole document into heap; column "
                     "containers must stream through "
                     "repro.persistence.codecs.ColumnDocumentReader (suppress "
-                    "explicitly for v1 JSON / manifest reads)",
+                    "explicitly for JSON / manifest reads)",
                 )
             elif method == "read" and not node.args and not node.keywords:
                 yield self.violation(

@@ -306,23 +306,22 @@ def run_operation(
 # ---------------------------------------------------------------------- #
 # Workers
 # ---------------------------------------------------------------------- #
-def migrate_worker(target_version: int) -> StepWorker:
-    """Convert a store to ``target_version`` and re-sync its catalog rows.
+def migrate_worker() -> StepWorker:
+    """Rewrite each store in the current format and re-sync its catalog rows.
 
-    Idempotent: a store already at the target format re-saves into the same
-    layout, so re-running an interrupted step converges.
+    Idempotent: a migrated store re-saves into the same bytes, so re-running
+    an interrupted step converges.
     """
 
     def worker(db: CatalogDB, record: StoreRecord) -> str:
-        from repro.persistence.store import INDEX_ARTIFACT, ArtifactStore
-        from repro.routing import RoutingEngine
+        from repro.persistence.store import INDEX_ARTIFACT
+        from repro.routing import migrate_store
 
-        store = ArtifactStore.open(record.path)
-        before = store.manifest.artifacts[INDEX_ARTIFACT].format_version
-        engine = RoutingEngine.from_artifacts(store)
-        engine.save_artifacts(store, format_version=target_version)
+        migration = migrate_store(record.path)
         sync_store(db, record.path)
-        return f"migrated v{before} -> v{target_version}"
+        before = migration.before.artifacts[INDEX_ARTIFACT].format_version
+        after = migration.after.artifacts[INDEX_ARTIFACT].format_version
+        return f"migrated v{before} -> v{after}"
 
     return worker
 

@@ -28,7 +28,6 @@ from repro.core.errors import DataError
 from repro.persistence.codecs import strict_json_dumps, strict_json_loads
 from repro.persistence.store import (
     HEURISTIC_ENTRY_PREFIX,
-    HEURISTICS_ARTIFACT,
     INDEX_ARTIFACT,
     MANIFEST_NAME,
     ArtifactStore,
@@ -122,8 +121,6 @@ def _canonical_path(root: str | FilePath) -> str:
 def _artifact_kind(name: str) -> str:
     if name == INDEX_ARTIFACT:
         return "index"
-    if name == HEURISTICS_ARTIFACT:
-        return "heuristic-bundle"
     if name.startswith(HEURISTIC_ENTRY_PREFIX):
         return "heuristic-entry"
     return "other"
@@ -326,8 +323,8 @@ def find_stores(
 
     ``graph_fingerprint`` matches either graph identity (the PACE graph's or
     the V-path closure's).  ``format_version`` matches stores holding **any**
-    artifact at that version — "which stores still carry v1 heuristics" is
-    ``format_version=1`` even on stores whose index already migrated.
+    artifact at that version — "which stores still hold JSON documents
+    ``repro migrate-artifacts`` must rewrite" is ``format_version=1``.
     """
     clauses: list[str] = []
     parameters: list[object] = []

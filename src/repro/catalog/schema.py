@@ -16,7 +16,7 @@ heuristics?") and keeps the resumable state of batch operations.  Three tables:
 
 ``artifacts``
     One row per manifest entry of each store — kind, name, filename, format
-    version, checksum, size — so "which stores hold any v1 document" is one
+    version, checksum, size — so "which stores still need migrating" is one
     indexed ``EXISTS`` query instead of a walk over every manifest on disk.
 
 ``operations`` / ``operation_steps``

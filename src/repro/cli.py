@@ -10,11 +10,10 @@ without writing Python:
   optionally prewarmed heuristics, manifest with fingerprints and provenance)
   into a content-addressed artifact store directory; heuristic tables are
   built to convergence by default (they are served forever, so they should be
-  tight), in the columnar v2 format unless ``--format v1`` asks for the
-  original JSON documents,
-* ``migrate-artifacts`` — rewrite an existing store in another format in place
-  (v1 JSON -> v2 columnar, or back), preserving fingerprints, recipe and
-  provenance without re-mining,
+  tight),
+* ``migrate-artifacts`` — rewrite a store from before the columnar format in
+  place, preserving fingerprints, recipe and provenance without re-mining (the
+  only command that reads such a store),
 * ``prewarm``         — build the heuristics of a method for a set of destinations
   in an existing artifact store and save them back into it,
 * ``route``           — answer a single arriving-on-time query with a chosen method,
@@ -105,9 +104,6 @@ _EXPERIMENTS = {
 }
 
 _BACKENDS = ("serial", "process")
-
-#: CLI names of the artifact store formats (see repro.persistence.store).
-_STORE_FORMATS = {"v1": 1, "v2": 2}
 
 
 def _load_dataset(name: str) -> SyntheticDataset:
@@ -229,16 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     build_artifacts.add_argument(
-        "--format",
-        default="v2",
-        choices=list(_STORE_FORMATS),
-        help=(
-            "artifact format: v2 (default) writes the columnar binary index and one "
-            "addressable document per heuristic table; v1 writes the original "
-            "monolithic JSON documents"
-        ),
-    )
-    build_artifacts.add_argument(
         "--catalog",
         default=None,
         help="register the finished store into this fleet catalog database",
@@ -246,22 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     migrate = subparsers.add_parser(
         "migrate-artifacts",
-        help="rewrite an artifact store in another format, in place",
+        help="rewrite an artifact store in the current format, in place",
         description=(
-            "Boot an engine from an existing artifact store (any supported format), "
-            "then re-save index, heuristics and manifest in the requested format in "
-            "place.  The graph content fingerprints, recipe and build provenance "
-            "are preserved; v1 JSON stores become v2 columnar stores (smaller, "
-            "individually addressable heuristic tables) without re-mining anything."
+            "Read an artifact store — one written as JSON documents before the "
+            "columnar format, or a current one — and re-save index, heuristics and "
+            "manifest in the columnar format in place.  The graph content "
+            "fingerprints, recipe and build provenance are preserved; nothing is "
+            "re-mined.  Serving commands refuse JSON stores until they are migrated."
         ),
     )
     migrate.add_argument("store", help="artifact store directory")
-    migrate.add_argument(
-        "--format",
-        default="v2",
-        choices=list(_STORE_FORMATS),
-        help="target artifact format (default: v2 columnar)",
-    )
 
     prewarm = subparsers.add_parser(
         "prewarm", help="pre-compute heuristics for destinations into an artifact store"
@@ -510,11 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cat_migrate = catalog_sub.add_parser(
         "migrate", parents=[catalog_db],
-        help="convert stores to another artifact format, resumably",
-    )
-    cat_migrate.add_argument(
-        "--to", default="v2", choices=list(_STORE_FORMATS),
-        help="target artifact format (default: v2 columnar)",
+        help="rewrite stores in the current artifact format, resumably",
     )
     scope = cat_migrate.add_mutually_exclusive_group(required=True)
     scope.add_argument(
@@ -656,7 +632,6 @@ def _command_build_artifacts(args: argparse.Namespace) -> int:
     manifest = engine.save_artifacts(
         args.out,
         provenance={"builder": "repro build-artifacts", "mine_seconds": round(mine_seconds, 3)},
-        format_version=_STORE_FORMATS[args.format],
     )
     catalogued = None
     if args.catalog:
@@ -672,7 +647,6 @@ def _command_build_artifacts(args: argparse.Namespace) -> int:
             return 2
     rows = [
         ("store", args.out),
-        ("format", args.format),
         ("pace fingerprint", manifest.fingerprints["pace"]),
         ("updated fingerprint", manifest.fingerprints.get("updated") or "-"),
         ("mine (s)", round(mine_seconds, 2)),
@@ -687,62 +661,51 @@ def _command_build_artifacts(args: argparse.Namespace) -> int:
 
 
 def _command_migrate_artifacts(args: argparse.Namespace) -> int:
-    from repro.persistence.store import HEURISTICS_ARTIFACT, INDEX_ARTIFACT, ArtifactStore
+    from repro.persistence.store import INDEX_ARTIFACT
+    from repro.routing import migrate_store
 
-    target = _STORE_FORMATS[args.format]
     try:
-        store = ArtifactStore.open(args.store)
-        before = store.manifest
-        before_format = before.artifacts[INDEX_ARTIFACT].format_version
-        before_bytes = sum(entry.size_bytes for entry in before.artifacts.values())
-        # Count without decoding payloads: the per-entry layout counts from
-        # the manifest alone, the v1 bundle is one cheap JSON parse.  The
-        # engine boot below is the only pass that decodes every document.
-        if before.heuristic_entry_names():
-            before_entries = len(before.heuristic_entry_names())
-        elif HEURISTICS_ARTIFACT in before.artifacts:
-            before_entries = len(store.load_heuristic_entries())
-        else:
-            before_entries = 0
-        # Booting with the manifest's own settings loads every persisted
-        # heuristic, so the re-save carries all of them into the new format
-        # (and preserves recipe + build provenance through the engine).
-        engine = RoutingEngine.from_artifacts(store)
-        manifest = engine.save_artifacts(store, format_version=target)
+        migration = migrate_store(args.store)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    after_bytes = sum(entry.size_bytes for entry in manifest.artifacts.values())
-    after_entries = manifest.provenance.get("heuristic_entries", 0)
+    before, after = migration.before, migration.after
+    before_entries = migration.persisted_entries
+    after_entries = after.provenance.get("heuristic_entries", 0)
     rows = [
         ("store", args.store),
-        ("format", f"v{before_format} -> v{target}"),
-        ("artifact bytes", f"{before_bytes} -> {after_bytes}"),
+        (
+            "format",
+            f"v{before.artifacts[INDEX_ARTIFACT].format_version} -> "
+            f"v{after.artifacts[INDEX_ARTIFACT].format_version}",
+        ),
+        (
+            "artifact bytes",
+            f"{sum(e.size_bytes for e in before.artifacts.values())} -> "
+            f"{sum(e.size_bytes for e in after.artifacts.values())}",
+        ),
         ("heuristic entries", f"{before_entries} -> {after_entries}"),
-        ("pace fingerprint", manifest.fingerprints["pace"]),
+        ("pace fingerprint", after.fingerprints["pace"]),
     ]
     if after_entries < before_entries:
         # The engine could not serve some persisted entries (e.g. floor-built
-        # tables, which are inadmissible).  What happened to them depends on
-        # whether *any* entry loaded: an empty cache re-save carries the old
-        # heuristic documents over verbatim (still the old format), a partial
-        # one re-writes only the loaded entries and drops the rest.
-        missing = before_entries - after_entries
-        if after_entries == 0 and (
-            HEURISTICS_ARTIFACT in manifest.artifacts or manifest.heuristic_entry_names()
-        ):
+        # tables, which are inadmissible).  With none loaded, a current
+        # store's documents are carried over as they are; otherwise the
+        # entries that did not load are gone.
+        kept = len(after.heuristic_entry_names())
+        if after_entries == 0 and kept:
             print(
                 f"warning: none of the {before_entries} persisted heuristic entries "
-                "could be loaded for serving; they were kept on disk unchanged (in "
-                "their original format), so the heuristics were NOT migrated — "
-                "rebuild them with 'repro prewarm --artifacts' to convert them",
+                "could be loaded for serving; they were kept on disk unchanged — "
+                "rebuild them with 'repro prewarm --artifacts' to serve them",
                 file=sys.stderr,
             )
         else:
             print(
-                f"warning: {missing} persisted heuristic entries could not be loaded "
-                "for serving (e.g. floor-built tables, which are inadmissible) and "
-                "were dropped; rebuild them with 'repro prewarm --artifacts'",
+                f"warning: {before_entries - after_entries} persisted heuristic entries "
+                "could not be loaded for serving (e.g. floor-built tables, which are "
+                "inadmissible) and were dropped; rebuild them with 'repro prewarm "
+                "--artifacts'",
                 file=sys.stderr,
             )
     print(render_report("Migrated artifact store", ("property", "value"), rows))
@@ -1091,8 +1054,7 @@ def _catalog_migrate(args: argparse.Namespace) -> int:
         run_operation,
     )
 
-    target = _STORE_FORMATS[args.to]
-    parameters: dict = {"to": target}
+    parameters: dict = {}
     with CatalogDB(args.db, create=False) as db:
         if args.all_stores:
             targets = list_stores(db)
@@ -1123,7 +1085,7 @@ def _catalog_migrate(args: argparse.Namespace) -> int:
             result = run_operation(
                 db,
                 operation,
-                migrate_worker(target),
+                migrate_worker(),
                 on_step=lambda step: print(
                     f"  {step.path}: {step.status}"
                     + (f" ({step.detail})" if step.detail else "")
@@ -1145,7 +1107,7 @@ def _catalog_migrate(args: argparse.Namespace) -> int:
     ]
     for step in result.failed_steps:
         rows.append((step.path, f"FAILED: {step.error}"))
-    print(render_report(f"Fleet migrate -> {args.to}", ("property", "value"), rows))
+    print(render_report("Fleet migrate", ("property", "value"), rows))
     return 0 if result.status == "done" else 1
 
 

@@ -1,5 +1,8 @@
 """Persistence of offline artefacts: the routable index, pre-computed heuristics,
-and the content-addressed artifact store that bundles them for deployments."""
+and the content-addressed artifact store that bundles them for deployments.
+
+Older stores are read only by :mod:`repro.persistence.legacy`, which this
+package does not import; ``repro migrate-artifacts`` rewrites them."""
 
 from repro.persistence.codecs import (
     decode_column_document,
@@ -22,18 +25,7 @@ from repro.persistence.heuristics import (
     heuristic_table_from_dict,
     heuristic_table_to_dict,
 )
-from repro.persistence.heuristics import (
-    heuristic_bundle_entries,
-    heuristic_bundle_payload,
-)
-from repro.persistence.index import (
-    index_from_column_bytes,
-    index_from_dict,
-    index_to_column_bytes,
-    index_to_dict,
-    load_index,
-    save_index,
-)
+from repro.persistence.index import index_from_column_bytes, index_to_column_bytes
 from repro.persistence.store import ArtifactEntry, ArtifactManifest, ArtifactStore
 
 __all__ = [
@@ -49,16 +41,10 @@ __all__ = [
     "heuristic_entry_key",
     "encode_heuristic_entry",
     "decode_heuristic_entry",
-    "heuristic_bundle_payload",
-    "heuristic_bundle_entries",
     "distribution_to_dict",
     "distribution_from_dict",
     "joint_to_dict",
     "joint_from_dict",
-    "index_to_dict",
-    "index_from_dict",
-    "save_index",
-    "load_index",
     "binary_heuristic_to_dict",
     "binary_heuristic_from_dict",
     "budget_heuristic_to_dict",

@@ -6,17 +6,17 @@ by the online routing service.  This module provides the low-level codecs for
 the probabilistic values; :mod:`repro.persistence.index` and
 :mod:`repro.persistence.heuristics` build the document formats on top.
 
-Two containers exist side by side:
+Two representations exist side by side:
 
-* the original **v1 JSON** dictionaries — human-inspectable, diff-able and
-  free of pickle's code-execution hazards, and
-* the **column container** backing the format-version-2 artifacts: a framed
-  binary document holding a strict-JSON metadata header plus named NumPy
-  columns as checksummed little-endian blobs.  Columns round-trip **bit for
-  bit** — no float renormalisation anywhere on the path — because graph
-  content fingerprints are computed over the raw float payloads and must
-  survive a save/load cycle exactly (v1 learned this the hard way; see
-  :func:`distribution_from_sequences`).
+* strict-JSON **dictionaries** — the in-memory payload form of
+  distributions, joints and heuristics (and the manifest's document format),
+  human-inspectable and free of pickle's code-execution hazards, and
+* the **column container** backing every stored artifact: a framed binary
+  document holding a strict-JSON metadata header plus named NumPy columns as
+  checksummed little-endian blobs.  Columns round-trip **bit for bit** — no
+  float renormalisation anywhere on the path — because graph content
+  fingerprints are computed over the raw float payloads and must survive a
+  save/load cycle exactly (see :func:`distribution_from_sequences`).
 """
 
 from __future__ import annotations
@@ -81,23 +81,17 @@ def strict_json_dump(payload: Any, handle: IO[str], *, indent: int | None = None
     handle.write(strict_json_dumps(payload, indent=indent))
 
 
-def strict_json_loads(
-    data: str | bytes, *, what: str, allow_legacy_infinity: bool = False
-) -> Any:
+def strict_json_loads(data: str | bytes, *, what: str) -> Any:
     """Decode strict JSON, mapping every failure to a :class:`DataError`.
 
     Rejects the non-standard ``NaN``/``Infinity``/``-Infinity`` tokens that
     :func:`json.loads` accepts by default — a document carrying them was
     written by a non-strict writer and would silently round-trip values
-    standard JSON cannot represent.  ``allow_legacy_infinity=True`` restores
-    acceptance of ``Infinity``/``-Infinity`` (never ``NaN``) for the
-    heuristic v1 documents written before the ``"inf"`` string sentinel
-    existed.  ``what`` names the document in error messages.
+    standard JSON cannot represent.  ``what`` names the document in error
+    messages.
     """
 
     def parse_constant(token: str) -> float:
-        if allow_legacy_infinity and token in ("Infinity", "-Infinity"):
-            return float(token)
         raise DataError(f"{what} contains the non-standard JSON token {token!r}")
 
     try:
@@ -135,11 +129,11 @@ def require_format_version(payload: dict, *, expected: int, what: str) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Binary column container (format-version-2 artifacts)
+# Binary column container (every stored artifact)
 # --------------------------------------------------------------------------- #
 
 #: Leading bytes of every column document; lets readers (and ``file``-style
-#: sniffing) distinguish the binary container from the v1 JSON documents.
+#: sniffing) distinguish the binary container from JSON documents.
 COLUMN_MAGIC = b"RCOL"
 _COLUMN_CONTAINER_VERSION = 1
 #: dtypes a column may carry, as explicit little-endian codes.  A whitelist,
@@ -272,7 +266,7 @@ def encode_column_document(meta: dict, columns: dict[str, np.ndarray]) -> bytes:
 
 
 def is_column_document(data: bytes) -> bool:
-    """Whether ``data`` starts like a column container (vs a v1 JSON document)."""
+    """Whether ``data`` starts like a column container (vs a JSON document)."""
     return data[: len(COLUMN_MAGIC)] == COLUMN_MAGIC
 
 
@@ -459,7 +453,7 @@ def split_ragged_column(values: np.ndarray, counts: np.ndarray, *, what: str) ->
     """Split a concatenated value column back into per-entry python lists.
 
     The column container's encoding for ragged structures is one flat value
-    column plus an aligned per-entry count column; every v2 reader (index
+    column plus an aligned per-entry count column; every column reader (index
     weights/T-paths/V-paths, heuristic table rows) decodes through this one
     helper so the length-consistency check lives in a single place.
     """
@@ -506,8 +500,8 @@ def distribution_from_sequences(
     to one) is restored *exactly* — no renormalisation — so that persisting
     and re-loading a graph preserves its content fingerprint bit for bit.
     Sequences that only approximately normalise fall back to the lenient
-    constructor, which rescales.  Shared by the v1 JSON and the v2 columnar
-    index readers.
+    constructor, which rescales.  Shared by the dictionary and the columnar
+    readers.
     """
     if len(costs) != len(probabilities):
         raise DataError("distribution payload has mismatched costs/probabilities lengths")

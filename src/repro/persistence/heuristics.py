@@ -8,31 +8,27 @@ tables for its hot destinations instead of rebuilding them:
 * binary heuristics — the per-vertex ``getMin`` map,
 * budget-specific heuristics — the compressed heuristic table (``l``/``s``
   bounds and the cells in between) plus the ``getMin`` map used for budget
-  pruning, and
-* heuristic *bundles* — a list of tagged heuristic payloads covering many
-  destinations, which is the heuristics document of a format-version-1
-  :class:`~repro.persistence.store.ArtifactStore`.
+  pruning.
 
-The v1 documents are strict JSON: unreachable vertices carry ``getMin = inf``,
-which standard JSON cannot represent, so infinities are stored as the string
-sentinel ``"inf"`` and every writer passes ``allow_nan=False``.
+The dictionary codecs produce strict-JSON-ready payloads: unreachable
+vertices carry ``getMin = inf``, which standard JSON cannot represent, so
+infinities are stored as the string sentinel ``"inf"``.
 
-**Format-version 2** serialises each tagged bundle entry as its *own*
-columnar binary document (:func:`encode_heuristic_entry` /
+On disk, each *tagged entry* (a payload plus the kind, variant/δ, graph and
+destination tags the engine keys its cache by) is its *own* columnar binary
+document (:func:`encode_heuristic_entry` /
 :func:`decode_heuristic_entry`): a budget table's value band becomes one
 concatenated float64 column plus per-row ``first_index``/count columns, the
 ``getMin`` maps become vertex/value columns (binary floats represent ``inf``
 natively — no sentinel needed).  Entries carry a stable
-:func:`heuristic_entry_key`, which is what lets the v2
+:func:`heuristic_entry_key`, which is what lets the
 :class:`~repro.persistence.store.ArtifactStore` address, append and replace
-tables *individually* instead of rewriting one monolithic bundle on every
-``prewarm --artifacts``.
+tables *individually* on every ``prewarm --artifacts``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -55,8 +51,6 @@ __all__ = [
     "heuristic_table_from_dict",
     "budget_heuristic_to_dict",
     "budget_heuristic_from_dict",
-    "heuristic_bundle_payload",
-    "heuristic_bundle_entries",
     "HEURISTIC_ENTRY_FORMAT_V2",
     "heuristic_entry_key",
     "encode_heuristic_entry",
@@ -65,7 +59,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-_BUNDLE_FORMAT_VERSION = 1
 #: Format version of the per-entry columnar heuristic documents.
 HEURISTIC_ENTRY_FORMAT_V2 = 2
 _ENTRY_KIND = "heuristic-entry"
@@ -177,42 +170,8 @@ def budget_heuristic_from_dict(payload: dict) -> BudgetSpecificHeuristic:
     return BudgetSpecificHeuristic.from_table(table, binary=binary, config=config)
 
 
-def heuristic_bundle_payload(entries: Sequence[dict]) -> dict:
-    """The v1 bundle document for ``entries`` (a v1 store's heuristics artifact).
-
-    Each entry is a dict with a ``kind`` tag (``"binary"`` or ``"budget"``), a
-    ``heuristic`` payload produced by the codecs above, and the routing
-    metadata the writer needs to key its cache (variant, δ, graph flavour and
-    the ``graph_fingerprint`` that makes the entry loadable by any process
-    over structurally identical graphs).  The document is intentionally a
-    dumb envelope: the :class:`~repro.routing.engine.RoutingEngine` decides
-    what the entries mean.
-    """
-    return {
-        "format_version": _BUNDLE_FORMAT_VERSION,
-        "kind": "heuristic-bundle",
-        "entries": list(entries),
-    }
-
-
-def heuristic_bundle_entries(payload: dict) -> list[dict]:
-    """Validate a bundle document's envelope and return its entries."""
-    try:
-        if payload["kind"] != "heuristic-bundle":
-            raise DataError(f"not a heuristic bundle document (kind {payload['kind']!r})")
-        require_format_version(
-            payload, expected=_BUNDLE_FORMAT_VERSION, what="heuristic bundle"
-        )
-        entries = payload["entries"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed heuristic bundle: {exc}") from exc
-    if not isinstance(entries, list):
-        raise DataError("malformed heuristic bundle: entries must be a list")
-    return entries
-
-
 # --------------------------------------------------------------------------- #
-# Format-version 2: per-entry columnar documents
+# Per-entry columnar documents
 # --------------------------------------------------------------------------- #
 
 
@@ -221,7 +180,7 @@ def heuristic_entry_key(entry: dict) -> str:
 
     Two entries with the same key describe the *same* heuristic slot (same
     kind, variant/δ, graph flavour and destination) — possibly with different
-    values after a rebuild.  The v2 store keys its per-entry artifacts by
+    values after a rebuild.  The store keys its per-entry artifacts by
     this, so re-saving a store replaces exactly the slots whose tables
     changed and appends the new ones.
     """
@@ -313,10 +272,9 @@ def _min_costs_from_columns(columns: dict, prefix: str) -> dict[str, float]:
 def decode_heuristic_entry(data: bytes) -> dict:
     """Decode :func:`encode_heuristic_entry` output back into a tagged entry.
 
-    The result has exactly the v1 bundle-entry shape (tags plus a
-    ``"heuristic"`` payload dictionary), so
-    :meth:`repro.routing.engine.RoutingEngine` validates and loads v1 and v2
-    entries through one code path.
+    The result is the tagged-entry shape (tags plus a ``"heuristic"``
+    payload dictionary) that :meth:`repro.routing.engine.RoutingEngine`
+    validates, the same shape the migrator reads from older stores.
     """
     meta, columns = decode_column_document(data, what="heuristic entry document")
     return _entry_from_meta_columns(meta, columns)

@@ -4,33 +4,24 @@ A deployment builds the index offline (T-path mining on the trajectory
 warehouse, V-path closure) and ships it to the routing service.  This module
 serialises exactly that artefact:
 
-* the road network (delegated to :mod:`repro.network.io` for the v1 format),
+* the road network (vertices and edges),
 * the edge weight function ``W`` on ``E``,
 * every T-path with its joint distribution, and
 * every V-path with its pre-assembled total-cost distribution.
 
-Two formats coexist:
-
-* **format_version 1** — a single JSON object (human-inspectable, diff-able;
-  the original format, still fully readable and writable), and
-* **format_version 2** — a columnar binary document built on
-  :func:`repro.persistence.codecs.encode_column_document`: vertices, edges,
-  weights, T-paths and V-paths become flat little-endian columns (ragged
-  structures carry an explicit per-entry count column).  At city scale the
-  column document is several times smaller than the JSON and parses without
-  building millions of intermediate Python objects, which is what makes
-  country-scale stores practical.
+The document is columnar (format version 2), built on
+:func:`repro.persistence.codecs.encode_column_document`: vertices, edges,
+weights, T-paths and V-paths become flat little-endian columns (ragged
+structures carry an explicit per-entry count column).  At city scale it
+parses without building millions of intermediate Python objects, which is
+what makes country-scale stores practical.
 
 Both directions round-trip the graph's *content fingerprint* bit for bit —
 no float renormalisation anywhere (see
 :func:`repro.persistence.codecs.distribution_from_sequences`).
-:func:`save_index` picks the format explicitly; :func:`load_index` sniffs the
-leading bytes.
 """
 
 from __future__ import annotations
-
-from pathlib import Path as FilePath
 
 import numpy as np
 
@@ -38,120 +29,31 @@ from repro.core.edge_graph import EdgeGraph
 from repro.core.elements import ElementKind, WeightedElement
 from repro.core.errors import DataError
 from repro.core.pace_graph import PaceGraph
-from repro.network.io import network_from_dict, network_to_dict
 from repro.persistence.codecs import (
-    COLUMN_MAGIC,
     ColumnDocumentReader,
     decode_column_document,
-    split_ragged_column,
-    distribution_from_dict,
     distribution_from_sequences,
-    distribution_to_dict,
     encode_column_document,
-    joint_from_dict,
     joint_from_sequences,
-    joint_to_dict,
-    open_column_document,
     require_format_version,
-    strict_json_dump,
-    strict_json_loads,
+    split_ragged_column,
 )
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
 __all__ = [
-    "INDEX_FORMAT_V1",
     "INDEX_FORMAT_V2",
-    "index_to_dict",
-    "index_from_dict",
     "index_to_column_bytes",
     "index_from_column_bytes",
     "index_from_column_reader",
-    "save_index",
-    "load_index",
 ]
 
-_FORMAT_VERSION = 1
-#: The two supported index document formats: v1 JSON and v2 columnar binary.
-INDEX_FORMAT_V1 = 1
+#: Format version of the columnar index document.
 INDEX_FORMAT_V2 = 2
 _INDEX_KIND = "pace-index"
 
 
-def index_to_dict(graph: PaceGraph | UpdatedPaceGraph) -> dict:
-    """Serialise a PACE graph (optionally with its V-paths) to a JSON-ready dictionary."""
-    if isinstance(graph, UpdatedPaceGraph):
-        pace = graph.pace_graph
-        vpaths = list(graph.vpaths())
-    else:
-        pace = graph
-        vpaths = []
-    return {
-        "format_version": _FORMAT_VERSION,
-        "tau": pace.tau,
-        "network": network_to_dict(pace.network),
-        "edge_weights": {
-            str(edge_id): distribution_to_dict(distribution)
-            for edge_id, distribution in pace.edge_graph.weights().items()
-        },
-        "tpaths": [
-            {
-                "edge_ids": list(tpath.path.edges),
-                "support": tpath.support,
-                "joint": joint_to_dict(tpath.joint),
-            }
-            for tpath in pace.tpaths()
-        ],
-        "vpaths": [
-            {
-                "edge_ids": list(vpath.path.edges),
-                "distribution": distribution_to_dict(vpath.distribution),
-            }
-            for vpath in vpaths
-        ],
-    }
-
-
-def index_from_dict(payload: dict) -> UpdatedPaceGraph:
-    """Rebuild the routable index from :func:`index_to_dict` output.
-
-    Always returns an :class:`~repro.vpaths.updated_graph.UpdatedPaceGraph`;
-    when the document contains no V-paths the updated graph simply has none,
-    and its ``pace_graph`` attribute gives the plain PACE view.
-    """
-    require_format_version(payload, expected=_FORMAT_VERSION, what="index document")
-    try:
-        network = network_from_dict(payload["network"])
-        weights = {
-            int(edge_id): distribution_from_dict(encoded)
-            for edge_id, encoded in payload["edge_weights"].items()
-        }
-        edge_graph = EdgeGraph(network, weights)
-        pace = PaceGraph(edge_graph, tau=payload["tau"])
-        for entry in payload["tpaths"]:
-            path = network.path_from_edge_ids(entry["edge_ids"])
-            pace.add_tpath(path, joint_from_dict(entry["joint"]), support=entry.get("support", 0))
-        vpaths: dict[tuple[int, ...], WeightedElement] = {}
-        for entry in payload["vpaths"]:
-            path = network.path_from_edge_ids(entry["edge_ids"])
-            vpaths[path.edges] = WeightedElement(
-                kind=ElementKind.VPATH,
-                path=path,
-                distribution=distribution_from_dict(entry["distribution"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError: int() on a non-numeric edge id key must surface as a
-        # malformed document, not escape as a bare builtin (data-error-taxonomy).
-        raise DataError(f"malformed index payload, missing or invalid key {exc}") from exc
-    return UpdatedPaceGraph(pace, vpaths)
-
-
-# --------------------------------------------------------------------------- #
-# Format-version 2: columnar binary
-# --------------------------------------------------------------------------- #
-
-
 def index_to_column_bytes(graph: PaceGraph | UpdatedPaceGraph) -> bytes:
-    """Serialise a PACE graph (optionally with its V-paths) as a v2 column document.
+    """Serialise a PACE graph (optionally with its V-paths) as a column document.
 
     Ragged structures (edge weight supports, T-path edge lists, joint
     outcomes, V-path distributions) are flattened into one concatenated value
@@ -362,46 +264,3 @@ def _index_from_meta_columns(meta: dict, columns: dict[str, np.ndarray]) -> Upda
             f"malformed index column document, missing or invalid column/metadata field: {exc}"
         ) from exc
     return UpdatedPaceGraph(pace, vpaths)
-
-
-def save_index(
-    graph: PaceGraph | UpdatedPaceGraph,
-    path: str | FilePath,
-    *,
-    format_version: int = INDEX_FORMAT_V1,
-) -> None:
-    """Write the index to disk in the requested format (v1 JSON or v2 columnar)."""
-    path = FilePath(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if format_version == INDEX_FORMAT_V2:
-        path.write_bytes(index_to_column_bytes(graph))
-        return
-    if format_version != INDEX_FORMAT_V1:
-        raise DataError(
-            f"unsupported index format version {format_version} "
-            f"(this writer supports {INDEX_FORMAT_V1} and {INDEX_FORMAT_V2})"
-        )
-    with path.open("w", encoding="utf-8") as handle:
-        strict_json_dump(index_to_dict(graph), handle)
-
-
-def load_index(path: str | FilePath) -> UpdatedPaceGraph:
-    """Read an index written by :func:`save_index`, sniffing v1 JSON vs v2 binary.
-
-    v2 column documents stream through :class:`ColumnDocumentReader` (mmap
-    views, no whole-file read); v1 JSON documents release their raw bytes
-    before the graph is materialised, so neither format holds file bytes and
-    decoded objects concurrently.
-    """
-    path = FilePath(path)
-    if not path.exists():
-        raise DataError(f"index file not found: {path}")
-    with path.open("rb") as handle:
-        head = handle.read(len(COLUMN_MAGIC))  # bounded sniff, not a whole-file read
-    if head == COLUMN_MAGIC:
-        with open_column_document(path, what=f"index file {path}") as reader:
-            return index_from_column_reader(reader)
-    data = path.read_bytes()  # repro: ignore[residency-discipline] — v1 JSON document
-    payload = strict_json_loads(data, what=f"index file {path} (not a column document)")
-    del data  # the parsed payload supersedes the raw bytes; drop them first
-    return index_from_dict(payload)

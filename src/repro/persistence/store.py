@@ -12,32 +12,32 @@ process needs to boot without re-mining:
   per-artifact filenames with format versions and checksums, and free-form
   build provenance (who built it, when, how long the mining took),
 * the routable index (road network, edge weights, T-paths with joints,
-  V-paths) — ``index-<fingerprint>.json`` in the v1 JSON document format, or
-  ``index-<fingerprint>.bin`` in the v2 columnar format of
+  V-paths) — ``index-<fingerprint>.bin``, a columnar document of
   :mod:`repro.persistence.index`, and
-* the pre-computed heuristics — either one v1 bundle
-  (``heuristics-<digest>.json``) or, at format-version 2, one columnar
-  document *per heuristic* (``heuristic-<key>-<digest>.bin``), each recorded
-  in the manifest under its stable ``heuristic:<key>`` name.
+* the pre-computed heuristics — one columnar document *per heuristic*
+  (``heuristic-<key>-<digest>.bin``), each recorded in the manifest under its
+  stable ``heuristic:<key>`` name.
 
-The per-entry v2 layout is what makes ``prewarm --artifacts`` *incremental*:
+The per-entry layout is what makes ``prewarm --artifacts`` *incremental*:
 entries are content-addressed, so re-saving a store with three new
 destinations writes three new files and leaves every untouched table's file
-byte-identical on disk — the v1 layout rewrote the whole bundle every time.
-Format versions are recorded per artifact in the manifest, so v1 and v2
-stores coexist and readers refuse unknown versions cleanly.
+byte-identical on disk.  Every artifact is written and served at
+:data:`STORE_FORMAT`; the manifest records the version per artifact, and
+readers refuse any other version.  Stores from before the columnar format
+are read only by :mod:`repro.persistence.legacy`, on behalf of ``repro
+migrate-artifacts``, which rewrites them in place.
 
 Artifact files are *content-addressed*: the index file is keyed by the graph
 content fingerprint it serialises, heuristic documents by a digest of their
 own bytes, and the manifest records a checksum for each file.  Readers
 therefore never trust a path: :meth:`ArtifactStore.load_index` verifies the
-checksum before parsing and the recomputed graph fingerprints after, so a
-truncated file, a swapped dataset or a stale manifest all fail loudly with a
-:class:`~repro.core.errors.DataError` instead of silently serving a different
-city.  Writers replace the manifest last and garbage-collect unreferenced
-artifact files, so a re-save (e.g. ``repro prewarm --artifacts`` adding more
-destinations) keeps the directory consistent.  ``repro migrate-artifacts``
-rewrites an existing store in the current format in place.
+recorded size and per-column digests as it streams and the recomputed graph
+fingerprints after, so a truncated file, a swapped dataset or a stale
+manifest all fail loudly with a :class:`~repro.core.errors.DataError`
+instead of silently serving a different city.  Writers replace the manifest
+last and garbage-collect unreferenced artifact files, so a re-save (e.g.
+``repro prewarm --artifacts`` adding more destinations) keeps the directory
+consistent.
 
 :class:`~repro.routing.engine.RoutingEngine.save_artifacts` /
 :meth:`~repro.routing.engine.RoutingEngine.from_artifacts` are the high-level
@@ -48,7 +48,6 @@ entry points; the CLI exposes them as ``repro build-artifacts`` and
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path as FilePath
@@ -57,7 +56,6 @@ from repro.core.errors import DataError
 from repro.core.pace_graph import PaceGraph
 from repro.persistence.codecs import (
     ColumnDocumentReader,
-    is_column_document,
     open_column_document,
     require_format_version,
     strict_json_dumps,
@@ -65,27 +63,21 @@ from repro.persistence.codecs import (
 )
 from repro.persistence.heuristics import (
     encode_heuristic_entry,
-    heuristic_bundle_entries,
-    heuristic_bundle_payload,
     heuristic_entry_from_reader,
     heuristic_entry_key,
 )
 from repro.persistence.index import (
-    INDEX_FORMAT_V1,
     INDEX_FORMAT_V2,
     index_from_column_reader,
-    index_from_dict,
     index_to_column_bytes,
-    index_to_dict,
 )
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
 __all__ = [
     "MANIFEST_NAME",
     "INDEX_ARTIFACT",
-    "HEURISTICS_ARTIFACT",
     "HEURISTIC_ENTRY_PREFIX",
-    "DEFAULT_STORE_FORMAT",
+    "STORE_FORMAT",
     "ArtifactEntry",
     "ArtifactManifest",
     "ArtifactStore",
@@ -103,25 +95,11 @@ _MANIFEST_FORMAT_VERSION = 1
 
 #: Logical artifact names (the keys of :attr:`ArtifactManifest.artifacts`).
 INDEX_ARTIFACT = "index"
-#: The v1 monolithic heuristic bundle.
-HEURISTICS_ARTIFACT = "heuristics"
-#: Prefix of v2 per-entry heuristic artifact names: ``heuristic:<entry key>``.
+#: Prefix of per-entry heuristic artifact names: ``heuristic:<entry key>``.
 HEURISTIC_ENTRY_PREFIX = "heuristic:"
 
-#: The format new stores are written in unless the caller asks otherwise.
-DEFAULT_STORE_FORMAT = INDEX_FORMAT_V2
-
-#: Serialised document format versions a reader accepts, per artifact name.
-_SUPPORTED_ARTIFACT_VERSIONS = {
-    INDEX_ARTIFACT: (INDEX_FORMAT_V1, INDEX_FORMAT_V2),
-    HEURISTICS_ARTIFACT: (1,),
-}
-
-
-def _supported_versions(name: str) -> tuple[int, ...] | None:
-    if name.startswith(HEURISTIC_ENTRY_PREFIX):
-        return (2,)
-    return _SUPPORTED_ARTIFACT_VERSIONS.get(name)
+#: The format version every artifact is written and served at.
+STORE_FORMAT = INDEX_FORMAT_V2
 
 
 def checksum_bytes(data: bytes) -> str:
@@ -175,7 +153,7 @@ class ArtifactEntry:
                 filename=str(payload["filename"]),
                 # The manifest records a *per-artifact* version here — which
                 # version each entry was written at, not a single expected
-                # constant; validation happens in _artifact_bytes().
+                # constant; validation happens in _artifact_entry().
                 format_version=int(payload["format_version"]),  # repro: ignore[format-version]
                 checksum=str(payload["checksum"]),
                 size_bytes=int(payload["size_bytes"]),
@@ -211,19 +189,9 @@ class ArtifactManifest:
             raise DataError("artifact manifest must record a 'pace' content fingerprint")
         if INDEX_ARTIFACT not in self.artifacts:
             raise DataError("artifact manifest must reference an index artifact")
-        if HEURISTICS_ARTIFACT in self.artifacts and self.heuristic_entry_names():
-            # One store, one heuristic layout: a v1 monolithic bundle and v2
-            # per-entry documents in the same manifest would make "which
-            # tables does this store hold" ambiguous (and a partial migration
-            # look healthy).  Mixed-version manifests are rejected outright.
-            raise DataError(
-                "artifact manifest mixes a format-version-1 heuristic bundle with "
-                "format-version-2 per-entry heuristics; re-run 'repro "
-                "migrate-artifacts' (or rebuild the store) to settle on one format"
-            )
 
     def heuristic_entry_names(self) -> list[str]:
-        """The v2 per-entry heuristic artifact names, sorted for determinism."""
+        """The per-entry heuristic artifact names, sorted for determinism."""
         return sorted(name for name in self.artifacts if name.startswith(HEURISTIC_ENTRY_PREFIX))
 
     def to_dict(self) -> dict:
@@ -315,10 +283,8 @@ class StoreSummary:
 
     @property
     def heuristic_documents(self) -> int:
-        """Persisted heuristic artifact count (v2 per-entry files, or 1 v1 bundle)."""
-        if HEURISTICS_ARTIFACT in self.artifacts:
-            return 1
-        return sum(1 for name in self.artifacts if name.startswith(HEURISTIC_ENTRY_PREFIX))
+        """Persisted heuristic artifact count: every artifact but the index."""
+        return len(self.artifacts) - 1
 
     @property
     def total_bytes(self) -> int:
@@ -434,9 +400,6 @@ class ArtifactStore:
         self._manifest = None
         return self
 
-    def has_artifact(self, name: str) -> bool:
-        return name in self.manifest.artifacts
-
     def artifact_path(self, name: str) -> FilePath:
         try:
             entry = self.manifest.artifacts[name]
@@ -450,51 +413,23 @@ class ArtifactStore:
     def _artifact_entry(self, name: str) -> ArtifactEntry:
         """One artifact's manifest entry, its ``format_version`` validated.
 
-        A store written by a newer codec is refused here — before a single
-        payload byte is parsed, whichever read path (bytes or streaming)
-        follows.
+        Any version but :data:`STORE_FORMAT` is refused here — before a
+        single payload byte is parsed — with the command that converts an
+        older store in place.
         """
         entry = self.manifest.artifacts.get(name)
         if entry is None:
             raise DataError(f"artifact store {self.root} holds no {name!r} artifact")
-        supported = _supported_versions(name)
-        if supported is not None and entry.format_version not in supported:
+        if entry.format_version != STORE_FORMAT:
             raise DataError(
                 f"unsupported {name} artifact format version {entry.format_version} "
-                f"(this reader supports {', '.join(map(str, supported))}); "
-                "re-export the store with a matching writer or run "
-                "'repro migrate-artifacts'"
+                f"in {self.root} (this engine serves version {STORE_FORMAT}); convert "
+                f"an older store in place with 'repro migrate-artifacts {self.root}'"
             )
         return entry
 
-    def _artifact_bytes(self, name: str) -> tuple[ArtifactEntry, bytes]:
-        """One artifact's manifest entry and checksum-verified raw bytes.
-
-        The *v1 JSON* read path: the whole document is read and hashed against
-        the manifest checksum before parsing.  v2 column documents must go
-        through :meth:`_open_artifact_reader` instead (enforced by the
-        ``residency-discipline`` analysis rule), which streams mmap views and
-        never materialises the file as a bytes object.
-        """
-        entry = self._artifact_entry(name)
-        path = self.root / entry.filename
-        try:
-            data = path.read_bytes()  # repro: ignore[residency-discipline] — v1 JSON read path
-        except FileNotFoundError as exc:
-            raise DataError(
-                f"artifact store {self.root} is missing {entry.filename} "
-                f"(referenced by the manifest as {name!r})"
-            ) from exc
-        checksum = _checksum(data)
-        if checksum != entry.checksum:
-            raise DataError(
-                f"artifact {entry.filename} in {self.root} is corrupted: checksum "
-                f"{checksum} does not match the manifest's {entry.checksum}"
-            )
-        return entry, data
-
     def _open_artifact_reader(self, name: str, *, verify: bool = False) -> ColumnDocumentReader:
-        """Open one v2 column artifact as a zero-copy streaming reader.
+        """Open one column artifact as a zero-copy streaming reader.
 
         The header and frame offsets are validated at open and the mapped
         size checked against the manifest's ``size_bytes`` (truncation and
@@ -534,39 +469,21 @@ class ArtifactStore:
             raise
         return reader
 
-    def read_document(self, name: str) -> dict:
-        """Read one *JSON* artifact document, verifying checksum and format version."""
-        entry, data = self._artifact_bytes(name)
-        if is_column_document(data):
-            raise DataError(
-                f"artifact {entry.filename} is a binary column document; read it "
-                "through load_index() / load_heuristic_entries(), not read_document()"
-            )
-        payload = strict_json_loads(data, what=f"artifact {entry.filename}")
-        require_format_version(
-            payload, expected=entry.format_version, what=f"{name} artifact"
-        )
-        return payload
-
-    def _read_index_graph(self) -> UpdatedPaceGraph:
-        """Parse the index artifact, dispatching on its recorded format version.
-
-        v2 documents stream through an mmap reader, so boot never holds the
-        index file bytes and the materialised graph concurrently; the v1 JSON
-        path releases its raw bytes once parsed, before graph construction.
-        """
-        entry = self._artifact_entry(INDEX_ARTIFACT)
-        if entry.format_version == INDEX_FORMAT_V2:
-            with self._open_artifact_reader(INDEX_ARTIFACT) as reader:
-                return index_from_column_reader(reader)
-        entry, data = self._artifact_bytes(INDEX_ARTIFACT)
-        payload = strict_json_loads(data, what=f"artifact {entry.filename}")
-        del data  # parsed payload supersedes the raw document bytes
-        require_format_version(payload, expected=INDEX_FORMAT_V1, what="index artifact")
-        return index_from_dict(payload)
-
     def load_index(self) -> tuple[PaceGraph, UpdatedPaceGraph | None]:
         """Load the routable index and verify it against the manifest identity.
+
+        The column document streams through an mmap reader, so boot never
+        holds the index file bytes and the materialised graph concurrently.
+        Returns ``(pace_graph, updated_graph)`` as :meth:`verify_index` does.
+        """
+        with self._open_artifact_reader(INDEX_ARTIFACT) as reader:
+            updated = index_from_column_reader(reader)
+        return self.verify_index(updated)
+
+    def verify_index(
+        self, updated: UpdatedPaceGraph
+    ) -> tuple[PaceGraph, UpdatedPaceGraph | None]:
+        """Check a decoded index against the manifest's content fingerprints.
 
         Returns ``(pace_graph, updated_graph)``; ``updated_graph`` is ``None``
         when the store was built without the V-path closure.  The recomputed
@@ -575,7 +492,6 @@ class ArtifactStore:
         its heuristics) claim, and is rejected.
         """
         manifest = self.manifest
-        updated = self._read_index_graph()
         pace = updated.pace_graph
         pace_fingerprint = pace.content_fingerprint()
         if pace_fingerprint != manifest.fingerprints["pace"]:
@@ -598,18 +514,30 @@ class ArtifactStore:
     def load_heuristic_entries(self) -> list[dict]:
         """The tagged heuristic entries, or ``[]`` when none were persisted.
 
-        Reads whichever layout the store holds: the v1 monolithic bundle, or
-        the v2 per-entry column documents (each streamed through an mmap
-        reader — per-column digests verified as the columns are decoded — and
-        checked against its own ``heuristic:<key>`` name, so a file swapped
-        for a different destination's table fails loudly).
+        Each per-entry column document is streamed through an mmap reader —
+        per-column digests verified as the columns are decoded — and checked
+        against its own ``heuristic:<key>`` name, so a file swapped for a
+        different destination's table fails loudly.
         """
-        if self.has_artifact(HEURISTICS_ARTIFACT):
-            return heuristic_bundle_entries(self.read_document(HEURISTICS_ARTIFACT))
-        entries: list[dict] = []
-        for name in self.manifest.heuristic_entry_names():
-            entries.append(self._load_heuristic_document(name))
-        return entries
+        return [self._load_heuristic_document(name) for name in self._heuristic_names()]
+
+    def _heuristic_names(self) -> list[str]:
+        """The ``heuristic:<key>`` artifact names, sorted.
+
+        Refuses a store holding any other artifact besides the index (an
+        older store's heuristic bundle, a foreign file) or a heuristic
+        document at another format version, so such a store never boots with
+        its tables silently ignored.
+        """
+        for name in self.manifest.artifacts:
+            if name != INDEX_ARTIFACT:
+                self._artifact_entry(name)
+                if not name.startswith(HEURISTIC_ENTRY_PREFIX):
+                    raise DataError(
+                        f"artifact store {self.root} holds an unknown {name!r} "
+                        "artifact; rebuild the store or run 'repro migrate-artifacts'"
+                    )
+        return self.manifest.heuristic_entry_names()
 
     def _load_heuristic_document(self, name: str) -> dict:
         """Fault in one ``heuristic:<key>`` document, verified against its name."""
@@ -626,8 +554,8 @@ class ArtifactStore:
     def open_heuristics(self) -> "HeuristicStoreHandle":
         """A lazy, key-addressed handle over the store's persisted heuristics.
 
-        Listing the entry keys costs only the (already parsed) manifest for a
-        v2 store — no blob is read until :meth:`HeuristicStoreHandle.load_entry`
+        Listing the entry keys costs only the (already parsed) manifest — no
+        blob is read until :meth:`HeuristicStoreHandle.load_entry`
         faults a single entry in.  This is the residency primitive behind
         ``RoutingEngine.from_artifacts(prewarm="none")``: a country-scale boot
         lists thousands of keys for free and pages individual destinations'
@@ -641,67 +569,35 @@ class ArtifactStore:
     def save(
         self,
         *,
+        graph: PaceGraph | UpdatedPaceGraph,
         fingerprints: dict[str, str | None],
         settings: dict,
-        graph: PaceGraph | UpdatedPaceGraph | None = None,
-        index_document: dict | None = None,
         heuristic_entries: list[dict] | None = None,
         recipe: dict | None = None,
         provenance: dict | None = None,
-        format_version: int | None = None,
     ) -> ArtifactManifest:
         """Write (or replace) the store contents and return the new manifest.
 
-        The index is passed as ``graph`` (serialised here in the chosen
-        ``format_version``) or, for v1 compatibility, as a ready-made
-        ``index_document`` dictionary.  ``format_version=None`` keeps the
-        format an existing store already uses and defaults fresh stores to
-        :data:`DEFAULT_STORE_FORMAT` (v2 columnar).
-
         The index file is named by the primary graph fingerprint (the V-path
         closure's when present, the PACE graph's otherwise); heuristics are
-        content-addressed by a digest of their own bytes — at v2 one document
-        *per entry*, so a re-save writes only the tables that changed and
+        written one document *per entry*, content-addressed by a digest of
+        their own bytes, so a re-save writes only the tables that changed and
         leaves the rest byte-identical on disk.  The manifest is replaced
         atomically last, and any artifact files no longer referenced are
         removed.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        if format_version is None:
-            format_version = self._current_format() or DEFAULT_STORE_FORMAT
-        if format_version not in (INDEX_FORMAT_V1, INDEX_FORMAT_V2):
-            raise DataError(
-                f"unsupported artifact store format version {format_version} "
-                f"(this writer supports {INDEX_FORMAT_V1} and {INDEX_FORMAT_V2})"
-            )
         primary = fingerprints.get("updated") or fingerprints.get("pace")
         if not primary:
             raise DataError("artifact stores need at least the 'pace' content fingerprint")
 
-        artifacts: dict[str, ArtifactEntry] = {}
-        if (graph is None) == (index_document is None):
-            raise DataError("save() needs exactly one of graph= or index_document=")
-        if format_version == INDEX_FORMAT_V2:
-            if graph is None:
-                raise DataError(
-                    "writing a format-version-2 index needs the graph itself "
-                    "(pass graph=, not index_document=)"
-                )
-            index_bytes = index_to_column_bytes(graph)
-            index_name = f"index-{primary[:16]}.bin"
-        else:
-            document = index_document if graph is None else index_to_dict(graph)
-            if document is None:  # unreachable: the exactly-one check above
-                raise DataError("save() needs exactly one of graph= or index_document=")
-            index_bytes = strict_json_dumps(document).encode("utf-8")
-            index_name = f"index-{primary[:16]}.json"
-        artifacts[INDEX_ARTIFACT] = self._write_blob(
-            index_name, index_bytes, format_version=format_version
-        )
-        if heuristic_entries:
-            artifacts.update(
-                self._write_heuristics(heuristic_entries, format_version=format_version)
+        artifacts = {
+            INDEX_ARTIFACT: self._write_blob(
+                f"index-{primary[:16]}.bin", index_to_column_bytes(graph)
             )
+        }
+        if heuristic_entries:
+            artifacts.update(self._write_heuristics(heuristic_entries))
         else:
             # A saver with no heuristics to contribute (e.g. an engine booted
             # with overridden settings that skipped the persisted tables) must
@@ -728,37 +624,13 @@ class ArtifactStore:
         self._collect_garbage(manifest)
         return manifest
 
-    def _current_format(self) -> int | None:
-        """The index format an existing store uses, or ``None`` for fresh stores."""
-        if not self.manifest_path.exists():
-            return None
-        try:
-            entry = self.manifest.artifacts.get(INDEX_ARTIFACT)
-        except DataError:
-            return None
-        return None if entry is None else entry.format_version
+    def _write_heuristics(self, entries: list[dict]) -> dict[str, ArtifactEntry]:
+        """Write one column document per entry, named ``heuristic:<key>``.
 
-    def _write_heuristics(
-        self, entries: list[dict], *, format_version: int
-    ) -> dict[str, ArtifactEntry]:
-        """Write the heuristic payloads in the chosen layout.
-
-        v1: one monolithic JSON bundle.  v2: one column document per entry,
-        named ``heuristic:<key>`` and content-addressed by its own digest —
-        the :meth:`_write_blob` checksum short-circuit then leaves unchanged
-        tables' files untouched on a re-save (incremental prewarm).
+        Each document is content-addressed by its own digest, so the
+        :meth:`_write_blob` checksum short-circuit leaves unchanged tables'
+        files untouched on a re-save (incremental prewarm).
         """
-        if format_version == INDEX_FORMAT_V1:
-            bundle_bytes = strict_json_dumps(heuristic_bundle_payload(entries)).encode(
-                "utf-8"
-            )
-            return {
-                HEURISTICS_ARTIFACT: self._write_blob(
-                    f"heuristics-{_checksum(bundle_bytes)[:16]}.json",
-                    bundle_bytes,
-                    format_version=1,
-                )
-            }
         artifacts: dict[str, ArtifactEntry] = {}
         for entry in entries:
             key = heuristic_entry_key(entry)
@@ -769,15 +641,13 @@ class ArtifactStore:
                     "two tables for the same (kind, variant, graph, destination) slot"
                 )
             blob = encode_heuristic_entry(entry)
-            artifacts[name] = self._write_blob(
-                f"heuristic-{key}-{_checksum(blob)[:12]}.bin", blob, format_version=2
-            )
+            artifacts[name] = self._write_blob(f"heuristic-{key}-{_checksum(blob)[:12]}.bin", blob)
         return artifacts
 
     def _carry_over_heuristics(
         self, fingerprints: dict[str, str | None]
     ) -> dict[str, ArtifactEntry]:
-        """The current manifest's heuristic entries (any layout), iff still valid."""
+        """The current manifest's per-entry heuristic documents, iff still valid."""
         if not self.manifest_path.exists():
             return {}
         try:
@@ -789,28 +659,28 @@ class ArtifactStore:
         return {
             name: entry
             for name, entry in previous.artifacts.items()
-            if (name == HEURISTICS_ARTIFACT or name.startswith(HEURISTIC_ENTRY_PREFIX))
-            and (self.root / entry.filename).exists()
+            if name.startswith(HEURISTIC_ENTRY_PREFIX) and (self.root / entry.filename).exists()
         }
 
-    def _write_blob(self, filename: str, data: bytes, *, format_version: int) -> ArtifactEntry:
+    def _write_blob(self, filename: str, data: bytes) -> ArtifactEntry:
         checksum = _checksum(data)
         path = self.root / filename
         # Content-addressed names make equality checkable without reading the
-        # old file for the bundle; the index name is the graph fingerprint, so
-        # compare checksums before rewriting a multi-megabyte document.
+        # old file for a heuristic; the index name is the graph fingerprint,
+        # so compare checksums before rewriting a multi-megabyte document.
         # Write-path dedup checksum, not a decode.
         if not path.exists() or _checksum(path.read_bytes()) != checksum:  # repro: ignore[residency-discipline]
             path.write_bytes(data)
         return ArtifactEntry(
             filename=filename,
-            format_version=format_version,
+            format_version=STORE_FORMAT,
             checksum=checksum,
             size_bytes=len(data),
         )
 
     def _collect_garbage(self, manifest: ArtifactManifest) -> None:
         referenced = {entry.filename for entry in manifest.artifacts.values()}
+        # The ``*.json`` patterns collect what a migrated store leaves behind.
         for pattern in ("index-*.json", "index-*.bin", "heuristics-*.json", "heuristic-*.bin"):
             for stale in self.root.glob(pattern):
                 if stale.name not in referenced:
@@ -824,92 +694,43 @@ class ArtifactStore:
 class HeuristicStoreHandle:
     """Key-addressed, fault-on-demand access to one store's heuristic tables.
 
-    Created by :meth:`ArtifactStore.open_heuristics`.  For v2 stores the
-    entry keys (``binary-P-35``, ``budget-60.0-pace-35``, …) come straight
-    from the manifest — listing is free — and :meth:`load_entry` opens just
-    that entry's column document through the streaming reader.  v1 stores
-    hold one monolithic bundle, so the same interface is served by parsing
-    the bundle once, lazily, on the first touch (a v1 store cannot fault
-    per-entry; migrating to v2 is what buys true laziness).
+    Created by :meth:`ArtifactStore.open_heuristics`.  The entry keys
+    (``binary-P-35``, ``budget-60.0-pace-35``, …) come straight from the
+    manifest — listing is free — and :meth:`load_entry` opens just that
+    entry's column document through the streaming reader.
 
     The handle is thread-safe: concurrent faults for different keys proceed
-    in parallel (each opens its own reader), and the one-time v1 bundle parse
-    is serialised on an internal lock.
+    in parallel, each opening its own reader.
     """
 
     def __init__(self, store: ArtifactStore) -> None:
         self._store = store
-        manifest = store.manifest
         self._names: dict[str, str] = {
-            name[len(HEURISTIC_ENTRY_PREFIX) :]: name
-            for name in manifest.heuristic_entry_names()
+            name[len(HEURISTIC_ENTRY_PREFIX) :]: name for name in store._heuristic_names()
         }
-        self._has_v1_bundle = HEURISTICS_ARTIFACT in manifest.artifacts
-        self._lock = threading.Lock()
-        self._v1_entries: dict[str, dict] | None = None
 
     @property
     def store(self) -> ArtifactStore:
         return self._store
 
-    def _bundle_entries(self) -> dict[str, dict]:
-        """The parsed v1 bundle, keyed by entry key (read once, under the lock)."""
-        with self._lock:
-            if self._v1_entries is None:
-                entries: dict[str, dict] = {}
-                for entry in self._store.load_heuristic_entries():
-                    entries[heuristic_entry_key(entry)] = entry
-                self._v1_entries = entries
-            return self._v1_entries
-
     def keys(self) -> tuple[str, ...]:
-        """Every persisted entry key, sorted (manifest-only for v2 stores)."""
-        if self._has_v1_bundle:
-            return tuple(sorted(self._bundle_entries()))
+        """Every persisted entry key, sorted (read from the manifest alone)."""
         return tuple(sorted(self._names))
 
     def __contains__(self, key: str) -> bool:
-        if self._has_v1_bundle:
-            return key in self._bundle_entries()
         return key in self._names
 
     def __len__(self) -> int:
-        if self._has_v1_bundle:
-            return len(self._bundle_entries())
         return len(self._names)
-
-    def entry_size_bytes(self, key: str) -> int:
-        """One entry's on-disk size from the manifest (0 for v1 bundle entries)."""
-        name = self._names.get(key)
-        if name is None:
-            return 0
-        return self._store.manifest.artifacts[name].size_bytes
-
-    def total_size_bytes(self) -> int:
-        """The summed on-disk size of every persisted heuristic document."""
-        manifest = self._store.manifest
-        total = sum(
-            manifest.artifacts[name].size_bytes for name in self._names.values()
-        )
-        if self._has_v1_bundle:
-            total += manifest.artifacts[HEURISTICS_ARTIFACT].size_bytes
-        return total
 
     def load_entry(self, key: str) -> dict:
         """Fault one tagged entry in by key.
 
-        v2: opens exactly that entry's column document (mmap streamed, column
-        digests verified during decode, name re-derived and checked).  v1:
-        served from the lazily parsed bundle.  Unknown keys and corrupted
-        documents raise :class:`~repro.core.errors.DataError`.
+        Opens exactly that entry's column document (mmap streamed, column
+        digests verified during decode, name re-derived and checked).
+        Unknown keys and corrupted documents raise
+        :class:`~repro.core.errors.DataError`.
         """
-        if self._has_v1_bundle:
-            try:
-                return self._bundle_entries()[key]
-            except KeyError as exc:
-                raise DataError(
-                    f"artifact store {self._store.root} holds no heuristic entry {key!r}"
-                ) from exc
         name = self._names.get(key)
         if name is None:
             raise DataError(

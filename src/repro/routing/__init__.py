@@ -28,7 +28,9 @@ from repro.routing.engine import (
     HeuristicCache,
     RouterSettings,
     RoutingEngine,
+    StoreMigration,
     create_router,
+    migrate_store,
 )
 from repro.routing.methods import MethodSpec
 from repro.routing.naive import NaivePaceRouter, NaiveRouterConfig
@@ -57,6 +59,8 @@ __all__ = [
     "create_router",
     "RouterSettings",
     "RoutingEngine",
+    "StoreMigration",
+    "migrate_store",
     "EngineStats",
     "HeuristicCache",
     "METHOD_NAMES",

@@ -40,6 +40,7 @@ import warnings
 from collections import Counter, OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.errors import ConfigurationError, DataError
 from repro.core.pace_graph import PaceGraph
@@ -70,6 +71,9 @@ from repro.routing.tpath_routing import HeuristicPaceRouter, HeuristicRouterConf
 from repro.routing.vpath_routing import VPathRouter, VPathRouterConfig
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.persistence.store import ArtifactManifest
+
 __all__ = [
     "RouterSettings",
     "METHOD_NAMES",
@@ -79,6 +83,8 @@ __all__ = [
     "CacheCounters",
     "EngineStats",
     "RoutingEngine",
+    "StoreMigration",
+    "migrate_store",
 ]
 
 
@@ -616,8 +622,9 @@ class RoutingEngine:
 
         The content fingerprint is the authoritative identity; the signature
         (vertex/edge/T-path/V-path counts) is kept alongside it because it
-        yields a *readable* mismatch message and keeps v1 stores written before
-        fingerprinting loadable.
+        yields a *readable* mismatch message and keeps entries written before
+        fingerprinting — which reach the engine only through
+        :func:`migrate_store` — loadable.
         """
         network = self._pace_graph.network
         signature = [network.num_vertices, network.num_edges, self._pace_graph.num_tpaths]
@@ -695,7 +702,7 @@ class RoutingEngine:
         return loaded
 
     def _validated_heuristic(self, entry: dict) -> tuple[tuple, Heuristic] | None:
-        """Validate one tagged bundle entry against this engine's graphs.
+        """Validate one tagged heuristic entry against this engine's graphs.
 
         Returns the ``(cache key, heuristic)`` pair ready for the cache, or
         ``None`` when the entry cannot serve this engine admissibly and
@@ -832,9 +839,7 @@ class RoutingEngine:
     # -------------------------------------------------------------- #
     # Artifact persistence (mine once, boot engines from disk forever)
     # -------------------------------------------------------------- #
-    def save_artifacts(
-        self, store, *, provenance: dict | None = None, format_version: int | None = None
-    ):
+    def save_artifacts(self, store, *, provenance: dict | None = None):
         """Persist this engine's offline artifacts to an artifact store.
 
         Writes the routable index (road network, edge weights, T-paths,
@@ -844,11 +849,7 @@ class RoutingEngine:
         the :class:`RouterSettings`, the originating
         :class:`~repro.routing.backends.DatasetRecipe` (when this engine was
         built from one) and build provenance.  ``provenance`` adds caller
-        metadata (e.g. mining wall-clock) to the manifest.
-        ``format_version`` selects the artifact format (1 = JSON documents,
-        2 = columnar binary with individually addressable heuristic tables);
-        ``None`` keeps an existing store's format and writes fresh stores at
-        :data:`~repro.persistence.store.DEFAULT_STORE_FORMAT`.  Returns the
+        metadata (e.g. mining wall-clock) to the manifest.  Returns the
         written :class:`~repro.persistence.store.ArtifactManifest`.
         """
         from repro.persistence.store import ArtifactStore
@@ -896,7 +897,6 @@ class RoutingEngine:
             heuristic_entries=entries or None,
             recipe=recipe,
             provenance=build_provenance,
-            format_version=format_version,
         )
 
     @classmethod
@@ -938,14 +938,6 @@ class RoutingEngine:
         if not isinstance(store, ArtifactStore):
             store = ArtifactStore.open(store)
         manifest = store.manifest
-        if settings is None:
-            try:
-                settings = RouterSettings(**manifest.settings)
-            except TypeError as exc:
-                raise DataError(
-                    f"artifact manifest settings {sorted(manifest.settings)} do not match "
-                    f"this version's RouterSettings: {exc}"
-                ) from exc
         pace, updated = store.load_index()
         spec = ArtifactRef(
             path=str(store.root),
@@ -954,7 +946,41 @@ class RoutingEngine:
             prewarm=policy,
             cache_bytes=cache_bytes,
         )
-        engine = cls(
+        engine = cls._over_store(
+            store, pace, updated, settings=settings, spec=spec, cache_bytes=cache_bytes
+        )
+        handle = store.open_heuristics()
+        if len(handle):
+            engine._attach_heuristic_store(handle)
+            engine._prewarm_from_store(handle, policy)
+        return engine
+
+    @classmethod
+    def _over_store(
+        cls,
+        store,
+        pace: PaceGraph,
+        updated: UpdatedPaceGraph | None,
+        *,
+        settings: RouterSettings | None = None,
+        spec=None,
+        cache_bytes: int | None = None,
+    ) -> "RoutingEngine":
+        """An engine over a store's loaded index, carrying the store's identity.
+
+        ``settings`` defaults to the manifest's; the manifest's recipe and
+        build provenance ride along so a re-save preserves them.
+        """
+        manifest = store.manifest
+        if settings is None:
+            try:
+                settings = RouterSettings(**manifest.settings)
+            except TypeError as exc:
+                raise DataError(
+                    f"artifact manifest settings {sorted(manifest.settings)} do not match "
+                    f"this version's RouterSettings: {exc}"
+                ) from exc
+        return cls(
             pace,
             updated,
             settings=settings,
@@ -968,11 +994,6 @@ class RoutingEngine:
                 "build": dict(manifest.provenance),
             },
         )
-        handle = store.open_heuristics()
-        if len(handle):
-            engine._attach_heuristic_store(handle)
-            engine._prewarm_from_store(handle, policy)
-        return engine
 
     def _prewarm_from_store(self, handle, policy: PrewarmPolicy) -> int:
         """Load the ``policy``-selected persisted entries into the resident tier.
@@ -1032,3 +1053,42 @@ class RoutingEngine:
             backend = SerialBackend()
         self._count_queries(spec.canonical_name, len(queries))
         return backend.run(self, spec, queries)
+
+
+@dataclass(frozen=True)
+class StoreMigration:
+    """What :func:`migrate_store` found and wrote."""
+
+    #: The manifest before and after the rewrite.
+    before: ArtifactManifest
+    after: ArtifactManifest
+    #: Heuristic entries the store held before the rewrite (the new
+    #: manifest's ``heuristic_entries`` provenance counts those re-written).
+    persisted_entries: int
+
+
+def migrate_store(store) -> StoreMigration:
+    """Rewrite an artifact store in place in the current format.
+
+    The one reader of older stores: the index and heuristics are read through
+    :mod:`repro.persistence.legacy` (a current store reads as itself), the
+    entries are validated exactly as a boot would — the content fingerprint,
+    or the structural signature for entries written before fingerprinting —
+    and :meth:`RoutingEngine.save_artifacts` writes the store back with its
+    fingerprints, settings, recipe and build provenance preserved.  Entries
+    the engine cannot serve (e.g. floor-built tables) are dropped from an
+    older store; a current store keeps them on disk if none loads.
+    Re-running it on a migrated store rewrites the same bytes.
+    """
+    from repro.persistence import legacy
+    from repro.persistence.store import ArtifactStore
+
+    if not isinstance(store, ArtifactStore):
+        store = ArtifactStore.open(store)
+    before = store.manifest
+    engine = RoutingEngine._over_store(store, *legacy.load_index(store))
+    entries = legacy.load_heuristic_entries(store)
+    engine._load_heuristic_entries(entries)
+    return StoreMigration(
+        before=before, after=engine.save_artifacts(store), persisted_entries=len(entries)
+    )

@@ -11,8 +11,9 @@ strict-JSON HTTP surface on a stdlib :class:`~http.server.ThreadingHTTPServer`:
 * ``POST /route``   — one request object or an array of them; answers the
   wire-format :class:`~repro.routing.service.RouteResponse` shape(s).  Routed
   outcomes (including per-request taxonomy errors) are HTTP 200; whole-call
-  failures use dedicated statuses: 400 malformed body, 429 ``overloaded``
-  (with ``retry_after_ms``), 504 ``deadline_exceeded``, 500 ``internal``.
+  failures use dedicated statuses: 400 malformed body, 408 body not received
+  within the deadline, 413 oversized body, 429 ``overloaded`` (with
+  ``retry_after_ms``), 504 ``deadline_exceeded``, 500 ``internal``.
 * ``GET /stats``    — engine counters and provenance plus admission, deadline,
   resilience, reload and fault-injection sections.
 * ``GET /healthz``  — 200 while the preferred backend is serving and the last
@@ -442,7 +443,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, handler: Callable[[], tuple[int, object]]) -> None:
         try:
-            self._route_server.count_http_request()
             status, payload = handler()
             self._send_json(status, payload)
         except Exception as exc:  # noqa: BLE001 - never leak a traceback to the wire
@@ -451,38 +451,63 @@ class _Handler(BaseHTTPRequestHandler):
             except OSError:  # pragma: no cover - client already gone
                 pass
 
+    def _reject(self, status: int, message: str) -> None:
+        """Answer a request whose body cannot be read, and close the connection."""
+        try:
+            self._send_json(status, _error_body("invalid_request", message), close=True)
+        except OSError:  # pragma: no cover - client already gone
+            self.close_connection = True
+
     def _read_body(self) -> bytes | None:
         """The request body, or ``None`` (already answered) when unreadable.
 
         A ``Content-Length`` that is not a non-negative integer is a 400, an
-        oversized one a 413; either way the connection is closed.
+        oversized one a 413, and a body that does not arrive in full within
+        ``default_deadline_ms`` a 408; each closes the connection.  Only the
+        body read is bounded — an idle keep-alive connection waits as before.
         """
+        config = self._route_server.config
         header = self.headers.get("Content-Length") or "0"
         try:
             length = int(header)
         except ValueError:
             length = -1
         if length < 0:
-            self._send_json(
-                400,
-                _error_body("invalid_request", f"invalid Content-Length {header!r}"),
-                close=True,
-            )
+            self._reject(400, f"invalid Content-Length {header!r}")
             return None
-        if length > self._route_server.config.max_body_bytes:
-            self._send_json(
+        if length > config.max_body_bytes:
+            self._reject(
                 413,
-                _error_body(
-                    "invalid_request",
-                    f"request body of {length} bytes exceeds the "
-                    f"{self._route_server.config.max_body_bytes} byte limit",
-                ),
-                close=True,
+                f"request body of {length} bytes exceeds the "
+                f"{config.max_body_bytes} byte limit",
             )
             return None
-        return self.rfile.read(length)
+        deadline = Deadline.after_ms(config.default_deadline_ms)
+        chunks: list[bytes] = []
+        received = 0
+        try:
+            while received < length and not deadline.expired():
+                self.connection.settimeout(deadline.remaining_seconds())
+                chunk = self.rfile.read1(length - received)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                received += len(chunk)
+        except OSError:  # the socket timed out (TimeoutError) or broke
+            pass
+        finally:
+            self.connection.settimeout(self.timeout)
+        if received < length:
+            self._reject(
+                408,
+                f"received {received} of {length} body bytes within the "
+                f"{config.default_deadline_ms:g} ms deadline",
+            )
+            return None
+        return b"".join(chunks)
 
     def do_GET(self) -> None:
+        self._route_server.count_http_request()
         path = self.path.split("?", 1)[0]
         if path == "/stats":
             self._dispatch(lambda: (200, self._route_server.stats()))
@@ -492,6 +517,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._dispatch(lambda: (404, _error_body("not_found", f"unknown path {path!r}")))
 
     def do_POST(self) -> None:
+        self._route_server.count_http_request()
         path = self.path.split("?", 1)[0]
         body = self._read_body()
         if body is None:

@@ -7,6 +7,9 @@ as read-only.
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.datasets.paper_example import build_paper_example
@@ -14,6 +17,24 @@ from repro.datasets.synthetic import tiny_dataset
 from repro.routing import DatasetRecipe, RouterSettings
 from repro.tpaths.extraction import TPathMinerConfig, build_edge_graph, build_pace_graph
 from repro.vpaths.updated_graph import UpdatedPaceGraph
+
+
+#: A format-version-1 store built by the last writer of that format (see its README).
+TINY_V1_STORE = Path(__file__).parent / "fixtures" / "tiny-v1-store"
+
+
+@pytest.fixture()
+def copy_v1_store(tmp_path):
+    """Factory copying the v1 fixture store to ``tmp_path / name``; returns the copy."""
+
+    def _copy(name: str = "v1-store") -> Path:
+        return Path(
+            shutil.copytree(
+                TINY_V1_STORE, tmp_path / name, ignore=shutil.ignore_patterns("README.md")
+            )
+        )
+
+    return _copy
 
 
 @pytest.fixture(scope="session")

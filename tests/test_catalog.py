@@ -48,12 +48,14 @@ def tiny_engine(tiny_artifact_store):
 
 
 @pytest.fixture()
-def make_store(tiny_engine, tmp_path):
-    """Factory writing a fresh store directory in the requested format."""
+def make_store(tiny_engine, tmp_path, copy_v1_store):
+    """Factory for a store directory: a fresh v2 save, or a copy of the v1 fixture."""
 
     def _make(name: str, *, format_version: int = 2):
+        if format_version == 1:
+            return copy_v1_store(name)
         root = tmp_path / name
-        tiny_engine.save_artifacts(root, format_version=format_version)
+        tiny_engine.save_artifacts(root)
         return root
 
     return _make
@@ -276,7 +278,7 @@ class TestRegistry:
         record = register_store(db, store)
         # Republish in another format: files changed wholesale, but that is
         # drift (re-sync fixes it), not corruption.
-        tiny_engine.save_artifacts(store, format_version=2)
+        tiny_engine.save_artifacts(store)
         result = verify_store(db, record, deep=True)
         assert result.status == "drifted"
         assert "sync" in result.problems[0]
@@ -313,12 +315,12 @@ class TestFleetOperations:
 
     def test_empty_target_list_is_refused(self, db):
         with pytest.raises(DataError, match="no target stores"):
-            create_operation(db, "migrate", {"to": 2}, [])
+            create_operation(db, "migrate", {}, [])
 
     def test_full_migration_converts_every_store(self, db, make_store):
         stores, records = self._fleet(db, make_store, format_version=1)
-        operation = create_operation(db, "migrate", {"to": 2}, records)
-        result = run_operation(db, operation, migrate_worker(2))
+        operation = create_operation(db, "migrate", {}, records)
+        result = run_operation(db, operation, migrate_worker())
         assert result.status == "done"
         assert all(step.status == "done" for step in result.steps)
         assert all("migrated v1 -> v2" in step.detail for step in result.steps)
@@ -330,8 +332,8 @@ class TestFleetOperations:
     ):
         """The headline resume contract, asserted via the operations state."""
         _, records = self._fleet(db, make_store, format_version=1)
-        operation = create_operation(db, "migrate", {"to": 2}, records)
-        real = migrate_worker(2)
+        operation = create_operation(db, "migrate", {}, records)
+        real = migrate_worker()
         calls: list[str] = []
 
         def killed_after_first(db_, record):
@@ -349,7 +351,7 @@ class TestFleetOperations:
         assert statuses == ["done", "running"]
         assert partial.status == "running"
 
-        resumed = find_resumable(db, "migrate", {"to": 2})
+        resumed = find_resumable(db, "migrate", {})
         assert resumed is not None
         assert resumed.operation_id == operation.operation_id
 
@@ -371,36 +373,36 @@ class TestFleetOperations:
     def test_failed_store_does_not_wedge_the_fleet(self, db, make_store):
         stores, records = self._fleet(db, make_store, format_version=1)
         shutil.rmtree(stores[0])  # one store is broken; the fleet moves on
-        operation = create_operation(db, "migrate", {"to": 2}, records)
-        result = run_operation(db, operation, migrate_worker(2))
+        operation = create_operation(db, "migrate", {}, records)
+        result = run_operation(db, operation, migrate_worker())
         assert result.status == "failed"
         assert len(result.failed_steps) == 1
         assert "no artifact store" in result.failed_steps[0].error
         assert len(result.done_steps) == 1
 
-    def test_resume_retries_failed_steps(self, db, make_store, tiny_engine):
+    def test_resume_retries_failed_steps(self, db, make_store):
         stores, records = self._fleet(db, make_store, format_version=1)
         shutil.rmtree(stores[0])
-        operation = create_operation(db, "migrate", {"to": 2}, records)
-        first = run_operation(db, operation, migrate_worker(2))
+        operation = create_operation(db, "migrate", {}, records)
+        first = run_operation(db, operation, migrate_worker())
         assert first.status == "failed"
-        tiny_engine.save_artifacts(stores[0], format_version=1)  # store healed
-        resumed = find_resumable(db, "migrate", {"to": 2})
-        final = run_operation(db, resumed, migrate_worker(2))
+        make_store(stores[0].name, format_version=1)  # store healed
+        resumed = find_resumable(db, "migrate", {})
+        final = run_operation(db, resumed, migrate_worker())
         assert final.status == "done"
         healed = next(s for s in final.steps if s.path == str(stores[0].resolve()))
         assert healed.attempts == 2
 
     def test_done_operations_are_not_resumable(self, db, make_store):
         _, records = self._fleet(db, make_store, count=1)
-        operation = create_operation(db, "migrate", {"to": 2}, records)
-        run_operation(db, operation, migrate_worker(2))
-        assert find_resumable(db, "migrate", {"to": 2}) is None
+        operation = create_operation(db, "migrate", {}, records)
+        run_operation(db, operation, migrate_worker())
+        assert find_resumable(db, "migrate", {}) is None
 
     def test_parameters_scope_the_resume_match(self, db, make_store):
         _, records = self._fleet(db, make_store, count=1)
-        create_operation(db, "migrate", {"to": 1}, records)
-        assert find_resumable(db, "migrate", {"to": 2}) is None
+        create_operation(db, "migrate", {"stores": ["elsewhere"]}, records)
+        assert find_resumable(db, "migrate", {}) is None
 
     def test_prewarm_worker_updates_the_catalog_counts(self, db, make_store):
         _, records = self._fleet(db, make_store, count=1, format_version=2)

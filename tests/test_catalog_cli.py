@@ -33,13 +33,12 @@ def tiny_engine(tiny_artifact_store):
 
 
 @pytest.fixture()
-def fleet(tiny_engine, tmp_path):
+def fleet(tiny_engine, tmp_path, copy_v1_store):
     """Two stores (one v1, one v2) registered into a fresh catalog."""
     db_path = tmp_path / "catalog.sqlite"
-    old = tmp_path / "old-store"
+    old = copy_v1_store("old-store")
     new = tmp_path / "new-store"
-    tiny_engine.save_artifacts(old, format_version=1)
-    tiny_engine.save_artifacts(new, format_version=2)
+    tiny_engine.save_artifacts(new)
     assert main(["catalog", "register", "--db", str(db_path), str(old), str(new)]) == 0
     return argparse.Namespace(db=str(db_path), old=old, new=new)
 
@@ -57,7 +56,7 @@ class TestParser:
 
     def test_migrate_requires_a_scope(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["catalog", "migrate", "--to", "v2"])
+            build_parser().parse_args(["catalog", "migrate"])
 
     def test_serve_artifacts_is_now_optional(self):
         args = build_parser().parse_args(["serve", "--catalog", "catalog.sqlite"])
@@ -125,21 +124,19 @@ class TestVerifyFlows:
 
 class TestMigrateFlows:
     def test_migrate_all_converts_the_fleet(self, fleet, capsys):
-        assert main(["catalog", "migrate", "--db", fleet.db, "--to", "v2", "--all"]) == 0
+        assert main(["catalog", "migrate", "--db", fleet.db, "--all"]) == 0
         assert query_json(capsys, "query", "--db", fleet.db, "--format-version", "1") == []
 
     def test_migrate_named_store_only(self, fleet, capsys):
         rc = main(
-            ["catalog", "migrate", "--db", fleet.db, "--to", "v2",
-             "--stores", str(fleet.old)]
+            ["catalog", "migrate", "--db", fleet.db, "--stores", str(fleet.old)]
         )
         assert rc == 0
         assert query_json(capsys, "query", "--db", fleet.db, "--format-version", "1") == []
 
     def test_migrating_an_unregistered_store_exits_2(self, fleet, tmp_path, capsys):
         rc = main(
-            ["catalog", "migrate", "--db", fleet.db, "--to", "v2",
-             "--stores", str(tmp_path / "ghost")]
+            ["catalog", "migrate", "--db", fleet.db, "--stores", str(tmp_path / "ghost")]
         )
         assert rc == 2
         assert "not registered" in capsys.readouterr().err
@@ -148,10 +145,10 @@ class TestMigrateFlows:
         # Interrupt a fleet migration through the API (the CLI shares the
         # exact operations rows), then let `--resume` finish it.
         with CatalogDB(fleet.db, create=False) as db:
-            operation = create_operation(db, "migrate", {"to": 2}, list_stores(db))
+            operation = create_operation(db, "migrate", {}, list_stores(db))
             from repro.catalog import migrate_worker
 
-            real = migrate_worker(2)
+            real = migrate_worker()
             calls: list[str] = []
 
             def killer(db_, record):
@@ -163,7 +160,7 @@ class TestMigrateFlows:
             with pytest.raises(KeyboardInterrupt):
                 run_operation(db, operation, killer)
 
-        rc = main(["catalog", "migrate", "--db", fleet.db, "--to", "v2", "--all", "--resume"])
+        rc = main(["catalog", "migrate", "--db", fleet.db, "--all", "--resume"])
         assert rc == 0
         err = capsys.readouterr().err
         assert f"resuming operation {operation.operation_id}" in err
@@ -175,8 +172,8 @@ class TestMigrateFlows:
         assert query_json(capsys, "query", "--db", fleet.db, "--format-version", "1") == []
 
     def test_without_resume_a_fresh_operation_is_created(self, fleet):
-        assert main(["catalog", "migrate", "--db", fleet.db, "--to", "v2", "--all"]) == 0
-        assert main(["catalog", "migrate", "--db", fleet.db, "--to", "v2", "--all"]) == 0
+        assert main(["catalog", "migrate", "--db", fleet.db, "--all"]) == 0
+        assert main(["catalog", "migrate", "--db", fleet.db, "--all"]) == 0
         with CatalogDB(fleet.db, create=False) as db:
             rows = db.query("SELECT operation_id FROM operations")
             assert len(rows) == 2
@@ -211,7 +208,7 @@ class TestGcFlows:
         self, fleet, tiny_engine, tmp_path, capsys
     ):
         stray = tmp_path / "strays" / "forgotten-store"
-        tiny_engine.save_artifacts(stray, format_version=2)
+        tiny_engine.save_artifacts(stray)
         actions = query_json(capsys, "gc", "--db", fleet.db, "--root", str(tmp_path))
         assert actions == [
             {

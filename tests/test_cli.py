@@ -81,6 +81,20 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-artifacts", "--out", "store", "--format", "v1"],
+            ["migrate-artifacts", "store", "--format", "v2"],
+            ["catalog", "migrate", "--db", "catalog.sqlite", "--all", "--to", "v2"],
+        ],
+        ids=["build-format", "migrate-format", "catalog-migrate-to"],
+    )
+    def test_format_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_stats_prints_table(self, capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.distributions import Distribution
@@ -23,8 +26,6 @@ from repro.persistence.heuristics import (
     budget_heuristic_from_dict,
     budget_heuristic_to_dict,
     heuristic_table_from_dict,
-    heuristic_bundle_entries,
-    heuristic_bundle_payload,
     heuristic_table_to_dict,
 )
 from repro.persistence.codecs import (
@@ -39,16 +40,19 @@ from repro.persistence.heuristics import (
     encode_heuristic_entry,
     heuristic_entry_key,
 )
-from repro.persistence.index import (
-    index_from_column_bytes,
-    index_from_dict,
-    index_to_column_bytes,
-    index_to_dict,
-    load_index,
-    save_index,
-)
+from repro.persistence.index import index_from_column_bytes, index_to_column_bytes
+from repro.persistence.legacy import heuristic_bundle_entries, index_from_dict
 from repro.routing import RouterSettings, RoutingQuery, create_router
 from repro.vpaths.updated_graph import UpdatedPaceGraph
+
+#: The v1 store fixture (see its README); its documents feed the legacy decoders.
+TINY_V1_STORE = Path(__file__).parent / "fixtures" / "tiny-v1-store"
+
+
+def _v1_document(prefix: str) -> dict:
+    """The v1 fixture store's JSON document whose filename starts with ``prefix``."""
+    (path,) = TINY_V1_STORE.glob(f"{prefix}-*.json")
+    return json.loads(path.read_text())
 
 
 class TestCodecs:
@@ -159,20 +163,6 @@ class TestColumnarIndex:
             == paper_example.pace_graph.content_fingerprint()
         )
 
-    def test_save_load_dispatches_on_leading_bytes(self, paper_example, tmp_path):
-        updated, _ = UpdatedPaceGraph.build(paper_example.pace_graph)
-        save_index(updated, tmp_path / "index.bin", format_version=2)
-        save_index(updated, tmp_path / "index.json", format_version=1)
-        for name in ("index.bin", "index.json"):
-            restored = load_index(tmp_path / name)
-            assert restored.content_fingerprint() == updated.content_fingerprint()
-        assert is_column_document((tmp_path / "index.bin").read_bytes())
-        assert (tmp_path / "index.json").read_bytes()[:1] == b"{"
-
-    def test_save_rejects_unknown_format(self, paper_example, tmp_path):
-        with pytest.raises(DataError, match="format version 3"):
-            save_index(paper_example.pace_graph, tmp_path / "x", format_version=3)
-
     def test_routing_on_columnar_index_matches(self, paper_example):
         updated, _ = UpdatedPaceGraph.build(paper_example.pace_graph)
         restored = index_from_column_bytes(index_to_column_bytes(updated))
@@ -255,11 +245,9 @@ class TestHeuristicEntryCodec:
 
 
 class TestIndexPersistence:
-    def test_round_trip_preserves_path_costs(self, paper_example, tmp_path):
+    def test_round_trip_preserves_path_costs(self, paper_example):
         updated, _ = UpdatedPaceGraph.build(paper_example.pace_graph)
-        path = tmp_path / "index.json"
-        save_index(updated, path)
-        restored = load_index(path)
+        restored = index_from_column_bytes(index_to_column_bytes(updated))
         assert restored.pace_graph.num_tpaths == paper_example.pace_graph.num_tpaths
         assert restored.num_vpaths == updated.num_vpaths
         for edge_ids in [(1, 4, 9), (1, 5, 6, 8), (2, 3, 6, 8)]:
@@ -270,47 +258,20 @@ class TestIndexPersistence:
             )
             assert rebuilt == original
 
-    def test_round_trip_without_vpaths(self, paper_example):
-        payload = index_to_dict(paper_example.pace_graph)
-        restored = index_from_dict(payload)
-        assert restored.num_vpaths == 0
-        assert restored.pace_graph.tau == paper_example.pace_graph.tau
-
-    def test_routing_on_reloaded_index_matches(self, paper_example, tmp_path):
-        updated, _ = UpdatedPaceGraph.build(paper_example.pace_graph)
-        save_index(updated, tmp_path / "index.json")
-        restored = load_index(tmp_path / "index.json")
-        settings = RouterSettings(max_budget=64)
-        query = RoutingQuery(VS, VD, budget=30)
-        original = create_router("T-B-P", paper_example.pace_graph, updated, settings=settings).route(query)
-        reloaded = create_router("T-B-P", restored.pace_graph, restored, settings=settings).route(query)
-        assert reloaded.path.edges == original.path.edges
-        assert reloaded.probability == pytest.approx(original.probability)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
-            load_index(tmp_path / "missing.json")
-
     def test_malformed_payload(self):
         with pytest.raises(DataError):
             index_from_dict({"format_version": 1})
         with pytest.raises(DataError):
             index_from_dict({"format_version": 99})
 
-    def test_non_numeric_edge_id_is_data_error(self, paper_example):
+    def test_non_numeric_edge_id_is_data_error(self):
         """Regression: int('not-an-id') used to escape as a bare ValueError."""
-        payload = index_to_dict(paper_example.pace_graph)
+        payload = _v1_document("index")
         weights = dict(payload["edge_weights"])
         weights["not-an-id"] = next(iter(weights.values()))
         payload["edge_weights"] = weights
         with pytest.raises(DataError, match="malformed index payload"):
             index_from_dict(payload)
-
-    def test_garbage_index_file_is_data_error(self, tmp_path):
-        path = tmp_path / "index.json"
-        path.write_bytes(b"{ not json")
-        with pytest.raises(DataError, match="not valid JSON"):
-            load_index(path)
 
 
 class TestHeuristicPersistence:
@@ -423,30 +384,14 @@ class TestHeuristicPersistence:
 
 
 class TestHeuristicBundle:
-    def test_round_trip(self, paper_example):
-        heuristic = BudgetSpecificHeuristic(
-            paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=6, max_budget=36)
-        )
-        entries = [
-            {
-                "kind": "budget",
-                "delta": 6.0,
-                "graph": "pace",
-                "destination": VD,
-                "heuristic": budget_heuristic_to_dict(heuristic),
-            },
-            {
-                "kind": "binary",
-                "variant": "P",
-                "destination": VD,
-                "heuristic": binary_heuristic_to_dict(heuristic.binary),
-            },
+    def test_fixture_bundle_decodes(self):
+        loaded = heuristic_bundle_entries(_v1_document("heuristics"))
+        assert [(e["kind"], e["delta"], e["destination"]) for e in loaded] == [
+            ("budget", 60.0, 35)
         ]
-        text = strict_json_dumps(heuristic_bundle_payload(entries))
-        loaded = heuristic_bundle_entries(strict_json_loads(text, what="bundle"))
-        assert [e["kind"] for e in loaded] == ["budget", "binary"]
         restored = budget_heuristic_from_dict(loaded[0]["heuristic"])
-        assert restored.table.storage_cells() == heuristic.table.storage_cells()
+        assert restored.destination == 35
+        assert restored.table.storage_cells() > 0
 
     def test_malformed(self):
         with pytest.raises(DataError):
@@ -495,10 +440,8 @@ class TestFormatVersionHandling:
         with pytest.raises(DataError, match=r"heuristic bundle format version 3.*supports version 1"):
             heuristic_bundle_entries(payload)
 
-    def test_legacy_version_1_documents_still_load(self, paper_example, tmp_path):
+    def test_legacy_version_1_documents_still_load(self):
         """Regression: verbatim version-1 documents from earlier releases."""
-        import json
-
         legacy_binary = json.loads(
             '{"format_version": 1, "destination": 3, "min_costs": {"0": 4.5, "1": "inf"}}'
         )
@@ -506,13 +449,11 @@ class TestFormatVersionHandling:
         assert restored.min_cost(0) == 4.5
         assert restored.min_cost(1) == float("inf")
 
-        # A legacy index document round-trips through today's writer format
-        # (the writer still emits version 1, so saved files *are* legacy files).
-        path = tmp_path / "legacy-index.json"
-        save_index(paper_example.pace_graph, path)
-        document = json.loads(path.read_text())
-        assert document["format_version"] == 1
-        assert load_index(path).pace_graph.num_tpaths == paper_example.pace_graph.num_tpaths
+        # The v1 fixture's index document decodes to the graph its manifest names.
+        manifest = json.loads((TINY_V1_STORE / "manifest.json").read_text())
+        pace = index_from_dict(_v1_document("index")).pace_graph
+        assert pace.num_tpaths > 0
+        assert pace.content_fingerprint() == manifest["fingerprints"]["pace"]
 
 
 class TestCodecErrorTaxonomy:
@@ -565,21 +506,3 @@ class TestStrictJsonHelpers:
             strict_json_loads('{"x": NaN}', what="doc")
         with pytest.raises(DataError, match="non-standard JSON token 'Infinity'"):
             strict_json_loads('{"x": Infinity}', what="doc")
-
-    def test_legacy_infinity_opt_in_only_admits_infinities(self):
-        # Heuristic v1 file loaders accept the documented legacy token...
-        payload = strict_json_loads(
-            '{"x": Infinity, "y": -Infinity}', what="doc", allow_legacy_infinity=True
-        )
-        assert payload == {"x": float("inf"), "y": float("-inf")}
-        # ...but NaN stays rejected even there.
-        with pytest.raises(DataError, match="non-standard JSON token 'NaN'"):
-            strict_json_loads('{"x": NaN}', what="doc", allow_legacy_infinity=True)
-
-    def test_save_index_writes_strict_json(self, paper_example, tmp_path):
-        """Regression: save_index used to emit Infinity tokens unguarded."""
-        path = tmp_path / "index.json"
-        save_index(paper_example.pace_graph, path)
-        text = path.read_text(encoding="utf-8")
-        assert "Infinity" not in text and "NaN" not in text
-        strict_json_loads(text, what="saved index")

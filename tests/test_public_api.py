@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,61 @@ class TestPublicApi:
         assert "workers" not in inspect.signature(RoutingEngine.route_many).parameters
         destinations = inspect.signature(RoutingEngine.prewarm).parameters["destinations"]
         assert destinations.default is inspect.Parameter.empty
+
+    def test_one_artifact_format(self):
+        """The engine writes and serves v2 only; no option selects a format."""
+        from repro.catalog import migrate_worker
+        from repro.persistence import codecs, index, store
+        from repro.routing import migrate_store
+        from repro.routing.engine import RoutingEngine
+
+        persistence = importlib.import_module("repro.persistence")
+        for module, name in (
+            (repro, "save_index"),
+            (repro, "load_index"),
+            (persistence, "save_index"),
+            (persistence, "load_index"),
+            (persistence, "index_to_dict"),
+            (persistence, "index_from_dict"),
+            (persistence, "heuristic_bundle_payload"),
+            (persistence, "heuristic_bundle_entries"),
+            (index, "save_index"),
+            (index, "load_index"),
+            (index, "index_to_dict"),
+            (index, "INDEX_FORMAT_V1"),
+            (store, "HEURISTICS_ARTIFACT"),
+            (store, "DEFAULT_STORE_FORMAT"),
+            (store.ArtifactStore, "read_document"),
+            (store.ArtifactStore, "_current_format"),
+            (store.HeuristicStoreHandle, "_bundle_entries"),
+        ):
+            assert not hasattr(module, name), name
+        for function, option in (
+            (store.ArtifactStore.save, "format_version"),
+            (store.ArtifactStore.save, "index_document"),
+            (RoutingEngine.save_artifacts, "format_version"),
+            (codecs.strict_json_loads, "allow_legacy_infinity"),
+        ):
+            assert option not in inspect.signature(function).parameters, option
+        assert not inspect.signature(migrate_worker).parameters
+        assert list(inspect.signature(migrate_store).parameters) == ["store"]
+
+    def test_only_the_migrator_imports_the_v1_reader(self):
+        src = Path(repro.__file__).parent
+        importers = set()
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module is not None:
+                    names = {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+                    if "repro.persistence.legacy" in names:
+                        importers.add(path.relative_to(src).as_posix())
+        assert importers == {"routing/engine.py"}
+        # Booting the serving surfaces never loads it.
+        code = (
+            "import sys, repro, repro.cli, repro.serving, repro.catalog; "
+            "assert 'repro.persistence.legacy' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_error_hierarchy(self):
         from repro.core import errors

@@ -11,7 +11,7 @@ PR 10's contract, pinned from four directions:
 * faults of corrupt entries raise :class:`DataError` without crashing the
   process or wedging the cache, and a budget smaller than one table degrades
   to build-on-miss with a loud warning,
-* the eager v1/v2 decode path allocates each column once (the
+* the eager column decode path allocates each column once (the
   double-buffering regression), measured with tracemalloc.
 """
 
@@ -69,15 +69,7 @@ def mined():
 def store_v2(mined, tmp_path_factory):
     engine, _, _ = mined
     root = tmp_path_factory.mktemp("residency") / "store-v2"
-    engine.save_artifacts(root, format_version=2)
-    return root
-
-
-@pytest.fixture(scope="module")
-def store_v1(mined, tmp_path_factory):
-    engine, _, _ = mined
-    root = tmp_path_factory.mktemp("residency") / "store-v1"
-    engine.save_artifacts(root, format_version=1)
+    engine.save_artifacts(root)
     return root
 
 
@@ -171,15 +163,6 @@ class TestDifferentialRouting:
         _assert_identical(eager_results[method], lazy.route_many(queries, method=method))
         counters = lazy.heuristic_cache.counters()
         assert counters.faults > 0 and counters.misses == 0
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_v1_store_lazy_boot_is_result_identical(
-        self, mined, store_v1, eager_results, method
-    ):
-        _, _, queries = mined
-        lazy = RoutingEngine.from_artifacts(store_v1, prewarm="none")
-        _assert_identical(eager_results[method], lazy.route_many(queries, method=method))
-        assert lazy.heuristic_cache.counters().faults > 0
 
     @pytest.mark.parametrize(
         "backend_factory",

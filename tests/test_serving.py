@@ -55,6 +55,22 @@ def http_post(url: str, path: str, payload: object, *, raw: bytes | None = None)
         return exc.code, json.loads(exc.read())
 
 
+def _raw_post(url: str, rest: bytes, *, timeout: float = 10) -> bytes:
+    """POST ``/route`` over a raw socket: ``rest`` follows the Host header.
+
+    Returns everything the server sends until it closes the connection —
+    reading to EOF proves the server closed it.
+    """
+    parts = urllib.parse.urlsplit(url)
+    head = f"POST /route HTTP/1.1\r\nHost: {parts.hostname}\r\n".encode("ascii")
+    with socket.create_connection((parts.hostname, parts.port), timeout=timeout) as sock:
+        sock.sendall(head + rest)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
 # --------------------------------------------------------------------------- #
 # Deadlines
 # --------------------------------------------------------------------------- #
@@ -401,23 +417,33 @@ class TestRouteServerHTTP:
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_invalid_content_length_is_a_structured_400(self, serving_url, length):
-        url = urllib.parse.urlsplit(serving_url)
-        request = (
-            f"POST /route HTTP/1.1\r\nHost: {url.hostname}\r\n"
-            f"Content-Length: {length}\r\n\r\n"
-        ).encode("ascii")
-        with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
-            sock.sendall(request)
-            reply = b""
-            # Reading to EOF proves the server closed the connection.
-            while chunk := sock.recv(65536):
-                reply += chunk
+        _, before = http_get(serving_url, "/stats")
+        reply = _raw_post(serving_url, f"Content-Length: {length}\r\n\r\n".encode("ascii"))
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"connection: close" in head.lower()
         payload = json.loads(body)
         assert payload["ok"] is False
         assert payload["error"]["code"] == "invalid_request"
+        # Each /stats read counts itself; the rejected request counts once.
+        _, after = http_get(serving_url, "/stats")
+        assert after["server"]["http_requests"] == before["server"]["http_requests"] + 2
+
+    def test_short_body_is_answered_within_the_deadline(self, tiny_artifact_store):
+        """A body shorter than its Content-Length must not pin a handler thread."""
+        config = ServerConfig(default_deadline_ms=500, reload_poll_seconds=3600.0)
+        with RouteServer(tiny_artifact_store, config) as server:
+            started = time.monotonic()
+            reply = _raw_post(server.url, b"Content-Length: 10\r\n\r\n{}", timeout=5)
+            assert time.monotonic() - started < 5
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 408 ")
+            assert b"connection: close" in head.lower()
+            payload = json.loads(body)
+            assert payload["ok"] is False
+            assert payload["error"]["code"] == "invalid_request"
+            assert "2 of 10" in payload["error"]["message"]
+            assert server.stats()["server"]["http_requests"] == 1
 
 
 class TestServerLifecycle:
