@@ -39,8 +39,9 @@ def test_fig18_vpath_routing_offpeak(benchmark, contexts, emit, dataset):
     emit(by_distance, f"fig18_vpath_routing_offpeak_distance_{dataset}.txt")
     emit(by_budget, f"fig18_vpath_routing_offpeak_budget_{dataset}.txt")
 
-    def mean_runtime(method: str) -> float:
+    def mean_explored(method: str) -> float:
         records = context.routing_records(REGIME, method)
-        return statistics.fmean(r.runtime_seconds for r in records)
+        return statistics.fmean(r.explored for r in records)
 
-    assert mean_runtime("V-BS-60") <= mean_runtime("T-B-P") * 1.25
+    # Exact mean candidate counts, not wall-clock time (which varies run to run).
+    assert mean_explored("V-BS-60") <= mean_explored("T-B-P")

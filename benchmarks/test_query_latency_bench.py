@@ -1,6 +1,6 @@
-"""Benchmark: single-query routing latency, scalar vs batched frontier expansion.
+"""Benchmark: single-query routing latency, scalar reference vs the routers.
 
-The batched expansion mode (:mod:`repro.routing.accel`) compiles the routers'
+The routers' frontier kernels (:mod:`repro.routing.accel`) compile the
 per-pop successor walk into ndarray kernels, resumes PACE chain evaluation
 from per-candidate chain trails, and memoizes finished chain evaluations on
 the per-graph accelerator (a path's cost distribution depends only on the
@@ -9,8 +9,9 @@ the paper's offline/online split taken to its conclusion).  This benchmark
 measures what that buys on the shared city store for the guided methods the
 paper's online phase runs — one binary-guided and one budget-guided T-path
 method plus the guided V-path method — routing the same long-haul workload
-through a scalar-mode and a batched-mode router that share one heuristic
-cache (so only the search loop differs).
+through the scalar reference loop (:mod:`repro.routing._scalar_reference`)
+and through the router, with the router's heuristic instances (so only the
+search loop differs).
 
 Each method is timed in three passes over the identical workload:
 
@@ -33,11 +34,11 @@ scalar.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 from repro.evaluation.reporting import render_report, write_report
 from repro.routing import RoutingEngine
+from repro.routing._scalar_reference import route_scalar
 from repro.routing.accel import accelerator_for
 from repro.routing.engine import create_router
 
@@ -63,13 +64,13 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-def _route_all(router, queries) -> tuple[list, list[float]]:
-    """Route each query once; return (results, per-query seconds)."""
+def _route_all(route, queries) -> tuple[list, list[float]]:
+    """Route each query once through ``route``; return (results, per-query seconds)."""
     results = []
     latencies = []
     for query in queries:
         started = time.perf_counter()
-        results.append(router.route(query))
+        results.append(route(query))
         latencies.append(time.perf_counter() - started)
     return results, latencies
 
@@ -90,30 +91,39 @@ def test_query_latency_scalar_vs_batched(city_store, city_batch_factory):
     cold_speedups: dict[str, float] = {}
     warm_speedups: dict[str, float] = {}
     for method in METHODS:
-        routers = {}
-        for mode in ("scalar", "batched"):
-            routers[mode] = create_router(
+        router = create_router(
+            method,
+            engine.pace_graph,
+            engine.updated_graph,
+            settings=engine.settings,
+            heuristic_cache=engine.heuristic_cache,
+        )
+
+        def scalar(query, method=method, router=router):
+            return route_scalar(
                 method,
                 engine.pace_graph,
                 engine.updated_graph,
-                settings=dataclasses.replace(engine.settings, expansion=mode),
-                heuristic_cache=engine.heuristic_cache,
+                router.heuristic_for(query.destination),
+                query,
+                settings=engine.settings,
             )
-        # Warm-up pass: builds the workload's per-destination heuristics
-        # (shared by both routers through the engine's cache) and the
-        # frontier accelerator, so the timed passes measure search only.
-        warm_results, _ = _route_all(routers["scalar"], queries)
 
-        scalar_results, scalar_latencies = _route_all(routers["scalar"], queries)
+        # Warm-up pass: builds the workload's per-destination heuristics
+        # (shared with the router through the engine's cache), so the timed
+        # passes measure search only.
+        warm_results, _ = _route_all(scalar, queries)
+
+        scalar_results, scalar_latencies = _route_all(scalar, queries)
         # Cold pass: evaluation memos emptied — a cold-started batched
         # process.  (T and V routers accelerate different graphs; clear
         # both.)
         accelerator_for(engine.pace_graph).clear_evaluations()
         accelerator_for(engine.updated_graph).clear_evaluations()
-        cold_results, cold_latencies = _route_all(routers["batched"], queries)
+        cold_results, cold_latencies = _route_all(router.route, queries)
         # Warm pass: the previous pass populated the memo — the steady state
         # of a serving tier answering overlapping workloads.
-        hot_results, hot_latencies = _route_all(routers["batched"], queries)
+        hot_results, hot_latencies = _route_all(router.route, queries)
 
         # Parity gate: every pass answered every query identically — path,
         # probability, explored count.

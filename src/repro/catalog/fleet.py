@@ -367,14 +367,7 @@ def mine_worker() -> StepWorker:
                 f"store {record.path} has no recorded dataset recipe; "
                 "re-mine it manually with 'repro build-artifacts'"
             )
-        store = ArtifactStore.open(record.path)
-        try:
-            settings = RouterSettings(**store.manifest.settings)
-        except TypeError as exc:
-            raise DataError(
-                f"store {record.path} manifest settings do not match "
-                f"RouterSettings: {exc}"
-            ) from exc
+        settings = RouterSettings.from_manifest(ArtifactStore.open(record.path).manifest.settings)
         recipe = DatasetRecipe(
             dataset=record.dataset, regime=record.regime, tau=record.tau
         )

@@ -366,12 +366,14 @@ class PaceGraph:
     ) -> dict[tuple[float, ...], dict[float, float]]:
         """Advance the chain by one CPS element (conditioning on the overlap).
 
-        This is the plain-dict reference fold.  The frontier accelerator's
-        batched expansion mode re-implements it as an array-native kernel
+        This is the plain-dict reference fold.  The routers' frontier
+        accelerator re-implements it as an array-native kernel
         (:mod:`repro.routing.accel`) that performs the identical float
         operations in the identical order; the parity suite pins the two
-        bitwise equal.  Keeping this one free of ndarray staging preserves
-        the pre-accelerator evaluation behaviour for ``expansion="scalar"``.
+        bitwise equal.  This one stays free of ndarray staging: it is what
+        :meth:`path_cost_distribution` runs for T-None, for the V routers'
+        final PACE re-evaluation and for the scalar reference search
+        (:mod:`repro.routing._scalar_reference`).
         """
         overlap = previous.path.overlap_with(element.path)
         element_joint = element.joint_distribution()

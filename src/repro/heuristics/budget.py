@@ -38,16 +38,15 @@ element maximum plus the 0/1 saturation trimming back to the compressed
 ``l``/``s`` form are NumPy reductions.
 
 **Band-compressed working memory.**  Gathers read the successor rows through
-a *mirror* abstraction.  The default :class:`_BandMirror` answers them
-straight from each row's compressed ``l``/``s`` band (0 below ``l``, the
-stored cells, an implicit 1 tail), lazily materialising one small padded
-array per row on first read — so a build's working memory scales with the
-*stored band cells*, not with ``V × η``.  The pre-refactor dense
-``V × (η+1)`` float64 matrix (~400 MB at 100k vertices × η≈500, which is
-what kept country-scale grids out of reach) survives as :class:`_DenseMirror`
-purely as the measurable baseline: both mirrors produce identical tables
-(``benchmarks/test_artifact_v2_bench.py`` asserts the memory gap,
-``tests/test_heuristic_reference.py`` the equality).
+:class:`_BandMirror`, which answers them straight from each row's compressed
+``l``/``s`` band (0 below ``l``, the stored cells, an implicit 1 tail),
+lazily materialising one small padded array per row on first read — so a
+build's working memory scales with the *stored band cells*, not with
+``V × η`` (a dense ``V × (η+1)`` float64 matrix is ~400 MB at 100k vertices
+× η≈500, which is what kept country-scale grids out of reach).
+``benchmarks/test_artifact_v2_bench.py`` reports the build's peak memory;
+``tests/test_heuristic_reference.py`` pins the tables to the scalar
+reference builder.
 
 Sweeping is organised as a
 Gauss–Seidel *dirty worklist* over vertices in increasing ``getMin`` order:
@@ -188,14 +187,13 @@ class _BandMirror:
     gather matrices once; a gather is then one upper clip (the padded length
     tracks the band as it grows) plus one fancy-index.  Columns below the
     band land on the leading 0 (budgets under ``l``), columns above on the
-    trailing 1 (budget ``s`` reached).  This replaces the dense ``V × (η+1)``
-    float64 matrix the builder used to allocate up front, which is what
-    bounded build memory at country scale (see the module docstring).
+    trailing 1 (budget ``s`` reached), so no dense ``V × (η+1)`` matrix is
+    ever allocated (see the module docstring).
     """
 
     __slots__ = ("_first", "_cells", "_padded")
 
-    def __init__(self, n: int, eta: int, first_index: np.ndarray):
+    def __init__(self, n: int, first_index: np.ndarray):
         self._first = first_index
         self._cells: list = [None] * n
         self._padded: list = [None] * n
@@ -220,45 +218,12 @@ class _BandMirror:
         return padded[np.minimum(offsets, padded.size - 1)]
 
 
-class _DenseMirror:
-    """The pre-refactor dense U working matrix, O(V × (η+1)) float64.
-
-    Kept solely as the measurable baseline for the band-compressed mirror
-    (identical results, strictly more memory); nothing in the serving path
-    uses it.
-    """
-
-    __slots__ = ("_dense", "_eta")
-
-    def __init__(self, n: int, eta: int, first_index: np.ndarray):
-        self._dense = np.zeros((n, eta + 1))
-        self._eta = eta
-
-    def prepare(self, position: int, columns: np.ndarray) -> np.ndarray:
-        return columns
-
-    def update(self, position: int, row: HeuristicRow) -> None:
-        dense_row = self._dense[position]
-        first_index = row.first_index
-        stored = min(row.values.size, max(0, self._eta + 1 - first_index))
-        dense_row[: min(first_index, self._eta + 1)] = 0.0
-        dense_row[first_index : first_index + stored] = row.values[:stored]
-        dense_row[first_index + stored :] = 1.0
-
-    def gather(self, position: int, columns: np.ndarray) -> np.ndarray:
-        return self._dense[position][columns]
-
-
-_MIRRORS = {"band": _BandMirror, "dense": _DenseMirror}
-
-
 def build_heuristic_table(
     graph,
     destination: int,
     config: BudgetHeuristicConfig | None = None,
     *,
     binary: BinaryHeuristic | None = None,
-    mirror: str = "band",
 ) -> HeuristicTable:
     """Build the heuristic table for one destination (Algorithms 3 and 4).
 
@@ -267,15 +232,9 @@ def build_heuristic_table(
     :class:`~repro.vpaths.updated_graph.UpdatedPaceGraph`).  Eq. 5 is
     evaluated with the batched Bellman kernel described in the module
     docstring; results match the scalar reference builder sweep for sweep.
-    ``mirror`` selects the working-memory structure for successor-row reads:
-    ``"band"`` (the default — memory proportional to the stored band cells)
-    or ``"dense"`` (the historical ``V × (η+1)`` matrix, retained as the
-    benchmark baseline; results are identical).
     """
     config = config or BudgetHeuristicConfig()
     config.validate()
-    if mirror not in _MIRRORS:
-        raise ConfigurationError(f"mirror must be one of {sorted(_MIRRORS)}, got {mirror!r}")
     binary = binary or PaceBinaryHeuristic(
         graph if not hasattr(graph, "pace_graph") else graph.pace_graph, destination
     )
@@ -365,17 +324,15 @@ def build_heuristic_table(
                 # The binary fallback is only read while the target row does
                 # not exist yet — rare, since successors (smaller getMin) are
                 # swept first — so it is filled lazily on first use.  The
-                # gather matrix is stored in the mirror's own representation
-                # (band offsets or raw columns), fixed per build because
-                # ``first_index`` is.
+                # gather matrix is stored as band offsets, fixed per build
+                # because ``first_index`` is.
                 kernel.blocks.append([u_mirror.prepare(kernel.target, cols), None])
         return kernel.blocks[block_index]
 
-    # Working view of U for the vectorized gathers: band-compressed by
-    # default (memory tracks the stored l/s bands), dense only as the
-    # benchmark baseline.  The compressed rows themselves live in
+    # Band-compressed working view of U for the vectorized gathers (memory
+    # tracks the stored l/s bands).  The compressed rows themselves live in
     # ``row_objects`` (mirroring the table) for cheap scalar reads.
-    u_mirror = _MIRRORS[mirror](n, eta, first_index_of)
+    u_mirror = _BandMirror(n, first_index_of)
     has_row = np.zeros(n, dtype=bool)
     row_objects: list[HeuristicRow | None] = [None] * n
 

@@ -125,8 +125,8 @@ class HeuristicRow:
 
         Column 0 (budget 0) is always 0 for a non-destination row, so
         non-positive residual budgets gather 0.  This is the reference
-        expansion (used by tests and inspection); the Bellman kernel keeps
-        its own dense mirror updated in place to avoid per-row allocations.
+        expansion (used by tests and inspection); the Bellman kernel reads
+        rows through its band-compressed view and never materialises this.
         """
         out = np.ones(eta + 1)
         out[: min(self.first_index, eta + 1)] = 0.0

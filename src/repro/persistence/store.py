@@ -400,13 +400,6 @@ class ArtifactStore:
         self._manifest = None
         return self
 
-    def artifact_path(self, name: str) -> FilePath:
-        try:
-            entry = self.manifest.artifacts[name]
-        except KeyError as exc:
-            raise DataError(f"artifact store {self.root} holds no {name!r} artifact") from exc
-        return self.root / entry.filename
-
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
@@ -428,16 +421,13 @@ class ArtifactStore:
             )
         return entry
 
-    def _open_artifact_reader(self, name: str, *, verify: bool = False) -> ColumnDocumentReader:
+    def _open_artifact_reader(self, name: str) -> ColumnDocumentReader:
         """Open one column artifact as a zero-copy streaming reader.
 
         The header and frame offsets are validated at open and the mapped
         size checked against the manifest's ``size_bytes`` (truncation and
         appended garbage surface immediately); per-column digests cover every
-        payload byte and are verified as columns are touched.  ``verify=True``
-        is the opt-in eager mode for the deep-verification paths: the whole
-        document is re-hashed against the manifest checksum and every column
-        digest checked before the reader is returned.
+        payload byte and are verified as columns are touched.
         """
         entry = self._artifact_entry(name)
         path = self.root / entry.filename
@@ -450,23 +440,12 @@ class ArtifactStore:
                     f"(referenced by the manifest as {name!r})"
                 ) from exc
             raise
-        try:
-            if reader.size_bytes != entry.size_bytes:
-                raise DataError(
-                    f"artifact {entry.filename} in {self.root} is corrupted: size "
-                    f"{reader.size_bytes} does not match the manifest's {entry.size_bytes}"
-                )
-            if verify:
-                checksum = reader.checksum()
-                if checksum != entry.checksum:
-                    raise DataError(
-                        f"artifact {entry.filename} in {self.root} is corrupted: checksum "
-                        f"{checksum} does not match the manifest's {entry.checksum}"
-                    )
-                reader.verify()
-        except DataError:
+        if reader.size_bytes != entry.size_bytes:
             reader.close()
-            raise
+            raise DataError(
+                f"artifact {entry.filename} in {self.root} is corrupted: size "
+                f"{reader.size_bytes} does not match the manifest's {entry.size_bytes}"
+            )
         return reader
 
     def load_index(self) -> tuple[PaceGraph, UpdatedPaceGraph | None]:

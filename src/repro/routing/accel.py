@@ -46,13 +46,13 @@ compiles that inner loop into bulk operations over a pre-enumerated layout:
   (``np.bincount``, which adds repeated indices one at a time in array
   order — exactly the dict loop's accumulation order); groups too small to
   amortize numpy's fixed call costs run the reference dict loop verbatim
-  instead.  Every float operation matches the reference bitwise, so batched
-  and scalar expansion return identical results down to the last bit.
+  instead.  Every float operation matches the reference fold bitwise.
 
-Every kernel decision is arithmetically identical to the scalar loop it
-replaces (same float operations in the same order), so routers running with
-``expansion="batched"`` return bitwise the same results as
-``expansion="scalar"`` — property-tested in ``tests/test_expansion_parity.py``.
+Every kernel decision is arithmetically identical to the per-element loop it
+replaces (same float operations in the same order), so the routers return
+bitwise the same results as the scalar reference loops kept in
+:mod:`repro.routing._scalar_reference` — property-tested in
+``tests/test_expansion_parity.py``.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class FrontierAccelerator:
     Built once per graph content (see :func:`accelerator_for`); all arrays are
     indexed by *slot*, where the slots of vertex ``v``'s successor elements
     are the contiguous range ``offsets[row(v)] : offsets[row(v) + 1]``, in
-    exactly the order ``graph.outgoing_elements(v)`` yields them (so batched
-    and scalar expansion push candidates in the same heap order).
+    exactly the order ``graph.outgoing_elements(v)`` yields them (so the
+    kernels push candidates in the same heap order as the scalar reference).
     """
 
     def __init__(self, graph: GraphLike) -> None:
@@ -718,7 +718,7 @@ _EMPTY_TRAIL = ChainTrail((), (), ())
 
 @dataclass(frozen=True)
 class TCandidate:
-    """A heap entry of the batched T-path router."""
+    """A heap entry of the T-path router."""
 
     path: Path
     distribution: Distribution
@@ -965,11 +965,11 @@ class VExpansionKernel:
         self._guided = guided
         self._target_min = accelerator.target_min_costs(heuristic)
 
-    def seed(self, source: int) -> list[tuple[Path, Distribution, float | None]]:
+    def seed(self, source: int) -> list[tuple[Path, Distribution, float]]:
         """Admissible elements leaving ``source`` with their heap priorities.
 
-        The priority is ``-maxProb`` for guided searches and ``None`` for
-        unguided ones (the router orders those by expected cost).
+        The priority is ``-maxProb`` for guided searches and the expected
+        cost for unguided ones (V-None explores in expected-cost order).
         """
         accel = self._accel
         lo, hi = accel.slot_range(source)
@@ -982,15 +982,13 @@ class VExpansionKernel:
         if len(slots) == 0:
             return []
         if not self._guided:
-            return [
-                (accel.elements[slot].path, accel.elements[slot].distribution, None)
-                for slot in slots.tolist()
-            ]
+            elements = [accel.elements[slot] for slot in slots.tolist()]
+            return [(e.path, e.distribution, e.distribution.expectation()) for e in elements]
         values, probabilities, offsets = accel.support_segments(slots)
         priorities = max_prob_segments(
             values, probabilities, offsets, accel.targets[slots], self._heuristic, self._budget
         )
-        seeds: list[tuple[Path, Distribution, float | None]] = []
+        seeds: list[tuple[Path, Distribution, float]] = []
         for position, slot in enumerate(slots.tolist()):
             priority = float(priorities[position])
             if priority <= 0:
@@ -1001,7 +999,7 @@ class VExpansionKernel:
 
     def expand(
         self, path: Path, distribution: Distribution
-    ) -> list[tuple[Path, Distribution, float | None]]:
+    ) -> list[tuple[Path, Distribution, float]]:
         """All surviving successors of a popped candidate, in element order."""
         accel = self._accel
         lo, hi = accel.slot_range(path.target)
@@ -1036,7 +1034,10 @@ class VExpansionKernel:
                 accel.convolution_put(memo_key, new_distribution)
             extended.append((slot, new_path, new_distribution))
         if not self._guided:
-            return [(new_path, new_distribution, None) for _, new_path, new_distribution in extended]
+            return [
+                (new_path, new_distribution, new_distribution.expectation())
+                for _, new_path, new_distribution in extended
+            ]
         counts = np.fromiter(
             (len(entry[2]) for entry in extended), dtype=np.int64, count=len(extended)
         )
@@ -1047,7 +1048,7 @@ class VExpansionKernel:
         bounds = max_prob_segments(
             values, probabilities, offsets, accel.targets[slots], self._heuristic, self._budget
         )
-        children: list[tuple[Path, Distribution, float | None]] = []
+        children: list[tuple[Path, Distribution, float]] = []
         for position, (_, new_path, new_distribution) in enumerate(extended):
             bound = float(bounds[position])
             if bound <= 0:

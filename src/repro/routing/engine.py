@@ -38,9 +38,9 @@ import threading
 import time
 import warnings
 from collections import Counter, OrderedDict
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import ConfigurationError, DataError
 from repro.core.pace_graph import PaceGraph
@@ -57,6 +57,7 @@ from repro.persistence.heuristics import (
     budget_heuristic_from_dict,
     budget_heuristic_to_dict,
 )
+from repro.routing.accel import accelerator_for
 from repro.routing.backends import ExecutionBackend, SerialBackend
 from repro.routing.methods import METHOD_NAMES, MethodSpec
 from repro.routing.residency import (
@@ -88,6 +89,12 @@ __all__ = [
 ]
 
 
+#: ``manifest.settings`` keys of removed :class:`RouterSettings` options.
+#: Stores saved while ``expansion`` chose between the batched kernels and a
+#: scalar loop record it; the routers now have one search loop.
+_RETIRED_SETTINGS = frozenset({"expansion"})
+
+
 @dataclass(frozen=True)
 class RouterSettings:
     """Cross-cutting knobs shared by every router built by :func:`create_router`.
@@ -96,35 +103,41 @@ class RouterSettings:
     ``None`` runs the sweep to its fixpoint (converged tables — the default
     for artifact builds, where the cost is paid once offline and the tables
     are served forever).
-
-    ``expansion`` selects how the guided routers walk a popped candidate's
-    successors: ``"batched"`` (the default) through the ndarray kernels of
-    :mod:`repro.routing.accel`, ``"scalar"`` through the per-element
-    reference loop.  Both modes return identical results.
     """
 
     max_support: int = 64
     max_explored: int = 100000
     max_budget: float = 5000.0
     heuristic_sweeps: int | None = 2
-    expansion: str = "batched"
+
+    @classmethod
+    def from_manifest(cls, settings: Mapping[str, Any]) -> RouterSettings:
+        """The settings an artifact store's manifest recorded.
+
+        Keys of retired options (stores saved before they were removed still
+        record them) are dropped; any other key this version does not know
+        is a :class:`DataError`.
+        """
+        current = {k: v for k, v in settings.items() if k not in _RETIRED_SETTINGS}
+        try:
+            return cls(**current)
+        except TypeError as exc:
+            raise DataError(
+                f"artifact manifest settings {sorted(settings)} do not match "
+                f"this version's RouterSettings: {exc}"
+            ) from exc
 
     def naive(self) -> NaiveRouterConfig:
         return NaiveRouterConfig(max_support=self.max_support, max_explored=self.max_explored)
 
     def heuristic(self) -> HeuristicRouterConfig:
-        return HeuristicRouterConfig(
-            max_support=self.max_support,
-            max_explored=self.max_explored,
-            expansion=self.expansion,
-        )
+        return HeuristicRouterConfig(max_support=self.max_support, max_explored=self.max_explored)
 
     def vpath(self, *, use_dominance: bool = True) -> VPathRouterConfig:
         return VPathRouterConfig(
             max_support=self.max_support,
             max_explored=self.max_explored,
             use_dominance=use_dominance,
-            expansion=self.expansion,
         )
 
     def budget_config(self, delta: float) -> BudgetHeuristicConfig:
@@ -557,17 +570,12 @@ class RoutingEngine:
     def build_accelerators(self) -> int:
         """Build (or re-attach to) the frontier accelerators of this engine's graphs.
 
-        The batched expansion mode lazily builds one
+        The routers lazily build one
         :class:`~repro.routing.accel.FrontierAccelerator` per graph on the
         first query; serving processes call this at boot instead so the
-        one-time flattening cost is paid before traffic arrives.  A no-op
-        when ``settings.expansion`` is ``"scalar"``.  Returns the number of
-        accelerators made hot.
+        one-time flattening cost is paid before traffic arrives.  Returns the
+        number of accelerators made hot.
         """
-        if self._settings.expansion != "batched":
-            return 0
-        from repro.routing.accel import accelerator_for
-
         accelerator_for(self._pace_graph)
         count = 1
         if self._updated_graph is not None:
@@ -973,13 +981,7 @@ class RoutingEngine:
         """
         manifest = store.manifest
         if settings is None:
-            try:
-                settings = RouterSettings(**manifest.settings)
-            except TypeError as exc:
-                raise DataError(
-                    f"artifact manifest settings {sorted(manifest.settings)} do not match "
-                    f"this version's RouterSettings: {exc}"
-                ) from exc
+            settings = RouterSettings.from_manifest(manifest.settings)
         return cls(
             pace,
             updated,

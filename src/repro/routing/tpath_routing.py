@@ -15,12 +15,12 @@ exploration with an admissible heuristic:
 Stochastic-dominance pruning is *not* used here: without V-paths it is
 unsound in PACE (Section 2.3).
 
-The router runs in one of two result-identical expansion modes (see
-:mod:`repro.routing.accel`): ``"batched"`` (the default) evaluates each
-popped candidate's whole successor slice through ndarray kernels and resumes
-PACE chain evaluation from per-candidate chain trails, while ``"scalar"``
-keeps the straightforward per-element loop — useful as a reference, and
-occasionally faster on tiny graphs where slicing overhead dominates.
+Each popped candidate's whole successor slice is evaluated through the
+ndarray kernels of :mod:`repro.routing.accel`, which resume PACE chain
+evaluation from per-candidate chain trails.  The per-element loop they
+replace lives on as the test reference in
+:mod:`repro.routing._scalar_reference`; the two return bitwise identical
+results.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.core.distributions import Distribution
 from repro.core.errors import ConfigurationError
 from repro.core.pace_graph import PaceGraph
 from repro.core.paths import Path
-from repro.heuristics.base import Heuristic, max_prob
+from repro.heuristics.base import Heuristic
 from repro.routing.accel import TCandidate, TExpansionKernel, accelerator_for
 from repro.routing.queries import RoutingQuery, RoutingResult
 
@@ -42,26 +42,18 @@ __all__ = ["HeuristicRouterConfig", "HeuristicPaceRouter"]
 
 HeuristicFactory = Callable[[PaceGraph, int], Heuristic]
 
-_EXPANSION_MODES = ("batched", "scalar")
-
-
 @dataclass(frozen=True)
 class HeuristicRouterConfig:
     """Limits and knobs of the heuristic-guided PACE router."""
 
     max_support: int = 64
     max_explored: int = 100000
-    expansion: str = "batched"
 
     def validate(self) -> None:
         if self.max_support < 1:
             raise ConfigurationError("max_support must be positive")
         if self.max_explored < 1:
             raise ConfigurationError("max_explored must be positive")
-        if self.expansion not in _EXPANSION_MODES:
-            raise ConfigurationError(
-                f"expansion must be one of {_EXPANSION_MODES}, got {self.expansion!r}"
-            )
 
 
 class HeuristicPaceRouter:
@@ -112,14 +104,7 @@ class HeuristicPaceRouter:
         """Evaluate one arriving-on-time query."""
         start = time.perf_counter()
         heuristic = self.heuristic_for(query.destination)
-        if self._config.expansion == "batched":
-            best_path, best_prob, best_distribution, explored = self._search_batched(
-                query, heuristic
-            )
-        else:
-            best_path, best_prob, best_distribution, explored = self._search_scalar(
-                query, heuristic
-            )
+        best_path, best_prob, best_distribution, explored = self._search(query, heuristic)
         return RoutingResult(
             query=query,
             method=self.method_name,
@@ -130,7 +115,7 @@ class HeuristicPaceRouter:
             runtime_seconds=time.perf_counter() - start,
         )
 
-    def _search_batched(
+    def _search(
         self, query: RoutingQuery, heuristic: Heuristic
     ) -> tuple[Path | None, float, Distribution | None, int]:
         budget = query.budget
@@ -162,57 +147,4 @@ class HeuristicPaceRouter:
             for priority, child in kernel.expand(candidate):
                 counter += 1
                 heapq.heappush(heap, (-priority, counter, child))
-        return None, 0.0, None, explored
-
-    def _search_scalar(
-        self, query: RoutingQuery, heuristic: Heuristic
-    ) -> tuple[Path | None, float, Distribution | None, int]:
-        graph = self._graph
-        budget = query.budget
-        explored = 0
-        counter = 0
-        heap: list[tuple[float, int, tuple[Path, Distribution, float]]] = []
-
-        for element in graph.outgoing_elements(query.source):
-            path = element.path
-            if not path.is_simple():
-                continue
-            distribution = element.distribution
-            if distribution.min() + heuristic.min_cost(path.target) > budget:
-                continue
-            priority = max_prob(distribution, heuristic, path.target, budget)
-            if priority <= 0:
-                continue
-            counter += 1
-            heapq.heappush(
-                heap,
-                (-priority, counter, (path, distribution, graph.path_min_cost(path))),
-            )
-
-        while heap and explored < self._config.max_explored:
-            _, _, (path, distribution, min_cost) = heapq.heappop(heap)
-            explored += 1
-            if path.target == query.destination:
-                # Admissible priorities: nothing left in the queue can beat this path.
-                return path, distribution.prob_at_most(budget), distribution, explored
-            for element in graph.outgoing_elements(path.target):
-                if any(path.visits(v) for v in element.path.vertices[1:]):
-                    continue
-                # Candidate min-cost is carried incrementally: parent minimum
-                # plus the element's own minimum, instead of re-summing the
-                # whole path per expansion.
-                new_min_cost = min_cost + graph.path_min_cost(element.path)
-                if new_min_cost + heuristic.min_cost(element.path.target) > budget:
-                    continue
-                new_path = path.concat(element.path)
-                new_distribution = graph.path_cost_distribution(
-                    new_path, max_support=self._config.max_support
-                )
-                priority = max_prob(new_distribution, heuristic, new_path.target, budget)
-                if priority <= 0:
-                    continue
-                counter += 1
-                heapq.heappush(
-                    heap, (-priority, counter, (new_path, new_distribution, new_min_cost))
-                )
         return None, 0.0, None, explored

@@ -16,13 +16,20 @@ stops when the top of the queue reaches the destination; without one (V-None)
 it explores exhaustively in expected-cost order, exactly like the T-None
 baseline but with convolution and dominance pruning.
 
-Like the T-path routers, the frontier can be expanded in two result-identical
-modes (see :mod:`repro.routing.accel`): ``"batched"`` (the default) masks
-cycles, applies the budget prune and prices Eq. 3 for a popped candidate's
-whole successor slice in bulk ndarray ops, while ``"scalar"`` keeps the
-per-element loop.  Dominance admission stays sequential in both modes — its
-outcome depends on admission order — and candidate distributions stay
-incremental convolutions either way.
+Like the T-path routers, the frontier is expanded through the kernels of
+:mod:`repro.routing.accel`, which mask cycles, apply the budget prune and
+price Eq. 3 for a popped candidate's whole successor slice in bulk ndarray
+ops.  Dominance admission stays sequential — its outcome depends on
+admission order — and candidate distributions stay incremental
+convolutions.  The per-element loop the kernels replace lives on as the
+test reference in :mod:`repro.routing._scalar_reference`.
+
+The returned path's distribution and probability are re-computed under
+exact PACE semantics (coarsest T-path assembly) before being reported: a
+candidate may correspond to a finer-than-coarsest decomposition of its road
+path, whose convolution estimate differs slightly from the PACE cost of
+that path, and re-evaluating makes the reported numbers directly comparable
+with the T-path routers.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 from repro.core.distributions import Distribution
 from repro.core.errors import ConfigurationError
 from repro.core.paths import Path
-from repro.heuristics.base import Heuristic, NoHeuristic, max_prob
+from repro.heuristics.base import Heuristic, NoHeuristic
 from repro.routing.accel import VExpansionKernel, accelerator_for
 from repro.routing.dominance import DominancePruner
 from repro.routing.queries import RoutingQuery, RoutingResult
@@ -46,38 +53,20 @@ __all__ = ["VPathRouterConfig", "VPathRouter"]
 
 VPathHeuristicFactory = Callable[[UpdatedPaceGraph, int], Heuristic]
 
-_EXPANSION_MODES = ("batched", "scalar")
-
 
 @dataclass(frozen=True)
 class VPathRouterConfig:
-    """Limits and knobs of the V-path router.
-
-    ``reevaluate_with_pace`` controls whether the returned path's distribution
-    and probability are re-computed under exact PACE semantics (coarsest
-    T-path assembly) before being reported.  The search itself always follows
-    Algorithm 5 — candidates are maintained by convolution of element weights
-    — but a candidate may correspond to a finer-than-coarsest decomposition of
-    its underlying road path, in which case the convolution estimate differs
-    slightly from the PACE cost of that path; re-evaluating makes the reported
-    numbers directly comparable with the T-path routers.
-    """
+    """Limits and knobs of the V-path router."""
 
     max_support: int = 64
     max_explored: int = 100000
     use_dominance: bool = True
-    reevaluate_with_pace: bool = True
-    expansion: str = "batched"
 
     def validate(self) -> None:
         if self.max_support < 1:
             raise ConfigurationError("max_support must be positive")
         if self.max_explored < 1:
             raise ConfigurationError("max_explored must be positive")
-        if self.expansion not in _EXPANSION_MODES:
-            raise ConfigurationError(
-                f"expansion must be one of {_EXPANSION_MODES}, got {self.expansion!r}"
-            )
 
 
 class VPathRouter:
@@ -140,46 +129,23 @@ class VPathRouter:
         candidate_ids = itertools.count()
         explored = 0
         heap: list[tuple[float, int, Path, Distribution]] = []
-        kernel: VExpansionKernel | None = None
-        if self._config.expansion == "batched":
-            kernel = VExpansionKernel(
-                graph,
-                accelerator_for(graph),
-                heuristic,
-                budget,
-                max_support=self._config.max_support,
-                guided=self.guided,
-            )
+        kernel = VExpansionKernel(
+            graph,
+            accelerator_for(graph),
+            heuristic,
+            budget,
+            max_support=self._config.max_support,
+            guided=self.guided,
+        )
 
-        def priority_of(path: Path, distribution: Distribution) -> float:
-            if self.guided:
-                return -max_prob(distribution, heuristic, path.target, budget)
-            return distribution.expectation()
-
-        def push(path: Path, distribution: Distribution, priority: float | None = None) -> None:
+        def push(path: Path, distribution: Distribution, priority: float) -> None:
             candidate_id = next(candidate_ids)
             if pruner is not None and not pruner.admit(candidate_id, path.target, distribution):
                 return
-            if priority is None:
-                priority = priority_of(path, distribution)
             heapq.heappush(heap, (priority, candidate_id, path, distribution))
 
-        if kernel is not None:
-            for path, distribution, priority in kernel.seed(query.source):
-                push(path, distribution, priority)
-        else:
-            for element in graph.outgoing_elements(query.source):
-                path = element.path
-                if not path.is_simple():
-                    continue
-                if element.distribution.min() + heuristic.min_cost(path.target) > budget:
-                    continue
-                if (
-                    self.guided
-                    and max_prob(element.distribution, heuristic, path.target, budget) <= 0
-                ):
-                    continue
-                push(path, element.distribution)
+        for path, distribution, priority in kernel.seed(query.source):
+            push(path, distribution, priority)
 
         best_path = None
         best_prob = 0.0
@@ -197,27 +163,10 @@ class VPathRouter:
                 if probability > best_prob:
                     best_path, best_prob, best_distribution = path, probability, distribution
                 continue
-            if kernel is not None:
-                for new_path, new_distribution, priority in kernel.expand(path, distribution):
-                    push(new_path, new_distribution, priority)
-                continue
-            for element in graph.outgoing_elements(path.target):
-                if any(path.visits(v) for v in element.path.vertices[1:]):
-                    continue
-                minimum = distribution.min() + element.distribution.min()
-                if minimum + heuristic.min_cost(element.target) > budget:
-                    continue
-                new_path = path.concat(element.path)
-                new_distribution = distribution.convolve(
-                    element.distribution, max_support=self._config.max_support
-                )
-                if self.guided:
-                    bound = max_prob(new_distribution, heuristic, new_path.target, budget)
-                    if bound <= 0:
-                        continue
-                push(new_path, new_distribution)
+            for new_path, new_distribution, priority in kernel.expand(path, distribution):
+                push(new_path, new_distribution, priority)
 
-        if best_path is not None and self._config.reevaluate_with_pace:
+        if best_path is not None:
             best_distribution = graph.pace_graph.path_cost_distribution(
                 best_path, max_support=self._config.max_support
             )

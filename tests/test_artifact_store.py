@@ -257,6 +257,30 @@ class TestRejection:
         with pytest.raises(DataError, match="RouterSettings"):
             RoutingEngine.from_artifacts(broken)
 
+    def test_retired_expansion_setting_still_boots(self, mined, store_root, tmp_path):
+        """Stores saved while ``expansion`` was an option record it; they boot unchanged."""
+        engine, queries = mined
+        old = self._copy_store(store_root, tmp_path / "expansion")
+        payload = json.loads((old / MANIFEST_NAME).read_text())
+        payload["settings"]["expansion"] = "scalar"
+        (old / MANIFEST_NAME).write_text(json.dumps(payload))
+        booted = RoutingEngine.from_artifacts(old)
+        assert booted.settings == SETTINGS
+        for method in METHODS:
+            for query in queries:
+                expected = engine.route(query, method=method)
+                got = booted.route(query, method=method)
+                assert (got.path, got.probability, got.explored) == (
+                    expected.path,
+                    expected.probability,
+                    expected.explored,
+                )
+        # Only the retired key is forgiven.
+        payload["settings"]["no_such_knob"] = 1
+        (old / MANIFEST_NAME).write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="RouterSettings"):
+            RoutingEngine.from_artifacts(old)
+
 
 class TestResaveSafety:
     def test_empty_cache_resave_preserves_persisted_heuristics(self, tmp_path):

@@ -1,12 +1,13 @@
-"""Property tests: batched frontier expansion is result-identical to the scalar loop.
+"""Property tests: the routers are result-identical to the scalar reference loops.
 
-The batched expansion mode (:mod:`repro.routing.accel`) re-implements the
-routers' inner loops — budget pruning, cycle masking, Eq. 3 priorities,
-checkpointed PACE evaluation — as ndarray kernels that are designed to
-perform *the same float arithmetic in the same order* as the scalar
-reference.  These tests pin that claim exactly: for random cyclic PACE
-graphs, every heuristic family and random budgets, the two modes must return
-identical :class:`~repro.routing.queries.RoutingResult`\\ s — same path, same
+The routers expand their frontier through the ndarray kernels of
+:mod:`repro.routing.accel` — budget pruning, cycle masking, Eq. 3
+priorities, checkpointed PACE evaluation — which are designed to perform
+*the same float arithmetic in the same order* as the per-element loops kept
+in :mod:`repro.routing._scalar_reference`.  These tests pin that claim
+exactly: for random cyclic PACE graphs, every heuristic family and random
+budgets, router and reference must return identical
+:class:`~repro.routing.queries.RoutingResult`\\ s — same path, same
 (bitwise) probability, same explored count, same distribution — including
 when ``max_explored`` truncates the search mid-frontier.
 
@@ -31,14 +32,15 @@ from repro.heuristics.base import _BATCH_THRESHOLD, NoHeuristic, max_prob, max_p
 from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
 from repro.network.road_network import RoadNetwork
-from repro.routing.engine import HeuristicCache, RouterSettings, create_router
+from repro.routing._scalar_reference import route_scalar
+from repro.routing.engine import RouterSettings, create_router
 from repro.routing.queries import RoutingQuery, RoutingResult
 from repro.tpaths.extraction import TPathMinerConfig, build_pace_graph
 from repro.trajectories.model import Trajectory
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
-#: Every routing method with a batched/scalar expansion switch: the guided
-#: T-path routers over each heuristic family, and the V-path router guided,
+#: Every routing method with a scalar reference loop: the guided T-path
+#: routers over each heuristic family, and the V-path router guided,
 #: budget-guided and unguided (V-None exercises the NoHeuristic kernel path).
 METHODS = ("T-B-EU", "T-B-E", "T-B-P", "T-BS-60", "V-None", "V-B-P", "V-BS-60")
 
@@ -101,29 +103,16 @@ def _route_both(
     *,
     max_explored: int = 4000,
 ) -> tuple[RoutingResult, RoutingResult]:
-    """Route ``query`` with ``method`` in scalar and in batched expansion mode.
+    """Route ``query`` with ``method`` through the scalar reference and the router.
 
-    One shared heuristic cache so both modes search with the exact same
-    heuristic instances (they are deterministic anyway; sharing just makes
-    the test cheap).
+    The reference searches with the router's own heuristic instance (they
+    are deterministic anyway; sharing just makes the test cheap).
     """
-    results = {}
-    cache = HeuristicCache()
-    for expansion in ("scalar", "batched"):
-        router = create_router(
-            method,
-            pace,
-            updated,
-            settings=RouterSettings(
-                max_explored=max_explored,
-                max_budget=600.0,
-                heuristic_sweeps=1,
-                expansion=expansion,
-            ),
-            heuristic_cache=cache,
-        )
-        results[expansion] = router.route(query)
-    return results["scalar"], results["batched"]
+    settings = RouterSettings(max_explored=max_explored, max_budget=600.0, heuristic_sweeps=1)
+    router = create_router(method, pace, updated, settings=settings)
+    heuristic = router.heuristic_for(query.destination)
+    scalar = route_scalar(method, pace, updated, heuristic, query, settings=settings)
+    return scalar, router.route(query)
 
 
 def _assert_identical(scalar: RoutingResult, batched: RoutingResult) -> None:

@@ -155,34 +155,6 @@ class TestVectorizedAgainstScalarReference:
                 small_pace_graph, destination, config, context=f"city {rounding} sweeps={sweeps}"
             )
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_band_mirror_matches_dense_mirror_cell_for_cell(self, seed):
-        """The band-compressed U mirror is an exact drop-in for the dense one.
-
-        ``mirror="dense"`` is the pre-refactor ``V x (eta+1)`` working matrix
-        kept as the benchmark baseline; both must produce *identical* rows
-        (same bits, not just same values) on converged cyclic builds.
-        """
-        pace, destination = _random_pace_graph(seed, cost_grid=1.0)
-        config = BudgetHeuristicConfig(delta=2.0, max_budget=30.0, sweeps=None)
-        band = build_heuristic_table(pace, destination, config, mirror="band")
-        dense = build_heuristic_table(pace, destination, config, mirror="dense")
-        assert band.rows.keys() == dense.rows.keys()
-        for vertex, row in band.rows.items():
-            other = dense.rows[vertex]
-            assert row.first_index == other.first_index
-            assert row.values.tobytes() == other.values.tobytes()
-
-    def test_unknown_mirror_is_rejected(self):
-        from repro.core.errors import ConfigurationError
-
-        pace, destination = _random_pace_graph(0, cost_grid=1.0)
-        with pytest.raises(ConfigurationError, match="mirror"):
-            build_heuristic_table(
-                pace, destination, BudgetHeuristicConfig(delta=2.0, max_budget=30.0),
-                mirror="sparse",
-            )
-
     def test_convergence_stops_and_tightens(self):
         """sweeps=None reaches a fixpoint no looser than any fixed sweep count."""
         pace, destination = _random_pace_graph(3, cost_grid=1.0)

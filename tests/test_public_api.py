@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import subprocess
@@ -153,6 +154,56 @@ class TestPublicApi:
         code = (
             "import sys, repro, repro.cli, repro.serving, repro.catalog; "
             "assert 'repro.persistence.legacy' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_one_search_loop_and_one_table_builder(self):
+        """No option selects a second router search loop or Bellman working memory."""
+        from repro.heuristics import budget
+        from repro.persistence import store
+        from repro.routing.engine import RouterSettings
+        from repro.routing.tpath_routing import HeuristicRouterConfig
+        from repro.routing.vpath_routing import VPathRouterConfig
+
+        for settings_class, field_count in (
+            (RouterSettings, 4),
+            (HeuristicRouterConfig, 2),
+            (VPathRouterConfig, 3),
+        ):
+            names = {field.name for field in dataclasses.fields(settings_class)}
+            assert not names & {"expansion", "reevaluate_with_pace"}, settings_class
+            assert len(names) == field_count, (settings_class, names)
+        assert "mirror" not in inspect.signature(budget.build_heuristic_table).parameters
+        for module, name in (
+            (budget, "_DenseMirror"),
+            (budget, "_MIRRORS"),
+            (store.ArtifactStore, "artifact_path"),
+        ):
+            assert not hasattr(module, name), name
+        reader = store.ArtifactStore._open_artifact_reader
+        assert "verify" not in inspect.signature(reader).parameters
+
+    def test_no_product_module_imports_a_scalar_reference(self):
+        src = Path(repro.__file__).parent
+        importers = set()
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                    if node.module is not None:
+                        names |= {node.module} | {f"{node.module}.{n}" for n in names}
+                else:
+                    continue
+                if any(name.rsplit(".", 1)[-1] == "_scalar_reference" for name in names):
+                    importers.add(path.relative_to(src).as_posix())
+        assert not importers
+        # Booting the serving surfaces never loads one either.
+        code = (
+            "import sys, repro, repro.cli, repro.serving; "
+            "loaded = [m for m in sys.modules if m.endswith('._scalar_reference')]; "
+            "assert not loaded, loaded"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
