@@ -9,6 +9,7 @@ WAL keeps concurrent readers unblocked throughout.
 
 from __future__ import annotations
 
+import json
 import shutil
 import sqlite3
 import threading
@@ -25,6 +26,7 @@ from repro.catalog import (
     get_store,
     list_stores,
     migrate_worker,
+    mine_worker,
     prewarm_worker,
     register_store,
     run_operation,
@@ -38,7 +40,7 @@ from repro.catalog import (
 )
 from repro.core.errors import DataError
 from repro.persistence.store import MANIFEST_NAME, ArtifactStore
-from repro.routing import RoutingEngine
+from repro.routing import RouterSettings, RoutingEngine
 
 
 @pytest.fixture(scope="module")
@@ -415,3 +417,31 @@ class TestFleetOperations:
         assert "prewarmed" in result.done_steps[0].detail
         after = get_store(db, records[0].path)
         assert after.heuristic_documents >= before
+
+    def test_mine_worker_remines_a_store_that_records_a_retired_setting(
+        self, db, make_store
+    ):
+        """Stores saved while ``expansion`` was an option (the v1 fixture too) re-mine."""
+        stores, records = self._fleet(db, make_store, count=1, format_version=1)
+        before = ArtifactStore.open(stores[0]).manifest.settings
+        assert before["expansion"] == "batched"
+        operation = create_operation(db, "mine", {}, records)
+        result = run_operation(db, operation, mine_worker())
+        assert result.status == "done"
+        assert result.done_steps[0].detail == "re-mined tiny/peak tau=20"
+        after = ArtifactStore.open(stores[0]).manifest.settings
+        assert "expansion" not in after
+        assert RouterSettings(**after) == RouterSettings.from_manifest(before)
+
+    def test_mine_worker_fails_a_store_with_an_unknown_setting(self, db, make_store):
+        store = make_store("store1", format_version=2)
+        manifest = store / MANIFEST_NAME
+        payload = json.loads(manifest.read_text())
+        payload["settings"]["no_such_knob"] = 1
+        manifest.write_text(json.dumps(payload))
+        record = register_store(db, store)
+        operation = create_operation(db, "mine", {}, [record])
+        result = run_operation(db, operation, mine_worker())
+        assert result.status == "failed"
+        assert "RouterSettings" in result.failed_steps[0].error
+        assert json.loads(manifest.read_text()) == payload  # nothing was re-saved
