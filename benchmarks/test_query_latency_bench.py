@@ -99,7 +99,7 @@ def test_query_latency_scalar_vs_batched(city_store, city_batch_factory):
             heuristic_cache=engine.heuristic_cache,
         )
 
-        def scalar(query, method=method, router=router):
+        def route_reference(query, method=method, router=router):
             return route_scalar(
                 method,
                 engine.pace_graph,
@@ -112,9 +112,9 @@ def test_query_latency_scalar_vs_batched(city_store, city_batch_factory):
         # Warm-up pass: builds the workload's per-destination heuristics
         # (shared with the router through the engine's cache), so the timed
         # passes measure search only.
-        warm_results, _ = _route_all(scalar, queries)
+        warm_results, _ = _route_all(route_reference, queries)
 
-        scalar_results, scalar_latencies = _route_all(scalar, queries)
+        scalar_results, scalar_latencies = _route_all(route_reference, queries)
         # Cold pass: evaluation memos emptied — a cold-started batched
         # process.  (T and V routers accelerate different graphs; clear
         # both.)

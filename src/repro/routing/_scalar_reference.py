@@ -31,7 +31,6 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.core.distributions import Distribution
-from repro.core.errors import ConfigurationError
 from repro.core.pace_graph import PaceGraph
 from repro.core.paths import Path
 from repro.heuristics.base import Heuristic, max_prob
@@ -49,21 +48,19 @@ __all__ = ["route_scalar", "route_tpath_scalar", "route_vpath_scalar"]
 def route_scalar(
     method: str | MethodSpec,
     pace_graph: PaceGraph,
-    updated_graph: UpdatedPaceGraph | None,
+    updated_graph: UpdatedPaceGraph,
     heuristic: Heuristic,
     query: RoutingQuery,
     *,
     settings: RouterSettings,
 ) -> RoutingResult:
-    """Route ``query`` with the scalar loop of the router ``method`` runs on.
+    """Route ``query`` with the scalar loop of the guided router ``method`` runs on.
 
     ``heuristic`` is the destination's heuristic (a :class:`NoHeuristic` for
     V-None); ``settings`` supplies ``max_support`` and ``max_explored``.
     """
     spec = MethodSpec.coerce(method)
     if spec.graph == "pace":
-        if spec.heuristic == "none":
-            raise ConfigurationError("T-None has no guided search loop to reproduce")
         return route_tpath_scalar(
             pace_graph,
             heuristic,
@@ -72,8 +69,6 @@ def route_scalar(
             max_support=settings.max_support,
             max_explored=settings.max_explored,
         )
-    if updated_graph is None:
-        raise ConfigurationError(f"method {spec.canonical_name!r} needs the updated PACE graph")
     return route_vpath_scalar(
         updated_graph,
         heuristic,
@@ -91,8 +86,8 @@ def route_tpath_scalar(
     query: RoutingQuery,
     *,
     method_name: str,
-    max_support: int = 64,
-    max_explored: int = 100000,
+    max_support: int,
+    max_explored: int,
 ) -> RoutingResult:
     """The seed's per-element best-first PACE search (T-B-*, T-BS-δ)."""
     start = time.perf_counter()
@@ -163,9 +158,8 @@ def route_vpath_scalar(
     *,
     method_name: str,
     guided: bool,
-    max_support: int = 64,
-    max_explored: int = 100000,
-    use_dominance: bool = True,
+    max_support: int,
+    max_explored: int,
 ) -> RoutingResult:
     """The seed's per-element Algorithm 5 loop (V-None, V-B-P, V-BS-δ).
 
@@ -175,7 +169,7 @@ def route_vpath_scalar(
     """
     start = time.perf_counter()
     budget = query.budget
-    pruner = DominancePruner() if use_dominance else None
+    pruner = DominancePruner()
     candidate_ids = itertools.count()
     explored = 0
     heap: list[tuple[float, int, Path, Distribution]] = []
@@ -187,7 +181,7 @@ def route_vpath_scalar(
 
     def push(path: Path, distribution: Distribution) -> None:
         candidate_id = next(candidate_ids)
-        if pruner is not None and not pruner.admit(candidate_id, path.target, distribution):
+        if not pruner.admit(candidate_id, path.target, distribution):
             return
         heapq.heappush(heap, (priority_of(path, distribution), candidate_id, path, distribution))
 
@@ -206,7 +200,7 @@ def route_vpath_scalar(
     best_distribution = None
     while heap and explored < max_explored:
         _, candidate_id, path, distribution = heapq.heappop(heap)
-        if pruner is not None and pruner.is_pruned(candidate_id):
+        if pruner.is_pruned(candidate_id):
             continue
         explored += 1
         if path.target == query.destination:

@@ -275,11 +275,6 @@ class TestRejection:
                     expected.probability,
                     expected.explored,
                 )
-        # Only the retired key is forgiven.
-        payload["settings"]["no_such_knob"] = 1
-        (old / MANIFEST_NAME).write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="RouterSettings"):
-            RoutingEngine.from_artifacts(old)
 
 
 class TestResaveSafety:

@@ -69,21 +69,6 @@ class TestUnknownMethodError:
             assert router is not None
 
 
-class TestRouterSettingsFromManifest:
-    """``RouterSettings.from_manifest`` reads what a store's manifest recorded."""
-
-    @pytest.mark.parametrize("mode", ["batched", "scalar"])
-    def test_retired_expansion_key_is_dropped(self, mode):
-        # Stores saved while ``expansion`` was an option record one of its values.
-        recorded = {**asdict(RouterSettings(max_budget=120.0)), "expansion": mode}
-        assert RouterSettings.from_manifest(recorded) == RouterSettings(max_budget=120.0)
-
-    def test_unknown_key_is_a_data_error(self):
-        recorded = {**asdict(RouterSettings()), "expansion": "batched", "no_such_knob": 1}
-        with pytest.raises(DataError, match="no_such_knob"):
-            RouterSettings.from_manifest(recorded)
-
-
 class TestHeuristicCache:
     def test_get_or_build_builds_once(self):
         cache = HeuristicCache()
