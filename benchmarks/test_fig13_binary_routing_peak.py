@@ -43,11 +43,13 @@ def test_fig13_binary_routing_peak(benchmark, contexts, emit, dataset):
     emit(by_distance, f"fig13_binary_routing_peak_distance_{dataset}.txt")
     emit(by_budget, f"fig13_binary_routing_peak_budget_{dataset}.txt")
 
-    # Shape check: the un-guided baseline is slower on average than every heuristic variant.
-    def mean_runtime(method: str) -> float:
+    # Shape check: every heuristic variant searches no more candidates on average
+    # than the un-guided baseline.  Gated on the exact mean candidate count rather
+    # than wall-clock time, which varies from run to run.
+    def mean_explored(method: str) -> float:
         records = context.routing_records(REGIME, method)
-        return statistics.fmean(r.runtime_seconds for r in records)
+        return statistics.fmean(r.explored for r in records)
 
-    baseline = mean_runtime("T-None")
+    baseline = mean_explored("T-None")
     for method in BINARY_ROUTING_METHODS[1:]:
-        assert mean_runtime(method) <= baseline
+        assert mean_explored(method) <= baseline, method

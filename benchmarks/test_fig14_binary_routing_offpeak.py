@@ -39,10 +39,13 @@ def test_fig14_binary_routing_offpeak(benchmark, contexts, emit, dataset):
     emit(by_distance, f"fig14_binary_routing_offpeak_distance_{dataset}.txt")
     emit(by_budget, f"fig14_binary_routing_offpeak_budget_{dataset}.txt")
 
-    def mean_runtime(method: str) -> float:
+    # Shape check: every heuristic variant searches no more candidates on average
+    # than the un-guided baseline.  Gated on the exact mean candidate count rather
+    # than wall-clock time, which varies from run to run.
+    def mean_explored(method: str) -> float:
         records = context.routing_records(REGIME, method)
-        return statistics.fmean(r.runtime_seconds for r in records)
+        return statistics.fmean(r.explored for r in records)
 
-    baseline = mean_runtime("T-None")
+    baseline = mean_explored("T-None")
     for method in BINARY_ROUTING_METHODS[1:]:
-        assert mean_runtime(method) <= baseline
+        assert mean_explored(method) <= baseline, method

@@ -8,9 +8,9 @@ the probabilistic values; :mod:`repro.persistence.index` and
 
 Two representations exist side by side:
 
-* strict-JSON **dictionaries** — the in-memory payload form of
-  distributions, joints and heuristics (and the manifest's document format),
-  human-inspectable and free of pickle's code-execution hazards, and
+* strict-JSON **dictionaries** — distributions on the serving wire and the
+  manifest's document format, human-inspectable and free of pickle's
+  code-execution hazards, and
 * the **column container** backing every stored artifact: a framed binary
   document holding a strict-JSON metadata header plus named NumPy columns as
   checksummed little-endian blobs.  Columns round-trip **bit for bit** — no
@@ -43,13 +43,12 @@ __all__ = [
     "distribution_to_dict",
     "distribution_from_dict",
     "distribution_from_sequences",
-    "joint_to_dict",
-    "joint_from_dict",
     "joint_from_sequences",
     "COLUMN_MAGIC",
     "encode_column_document",
     "decode_column_document",
     "is_column_document",
+    "ragged_chunks",
     "split_ragged_column",
     "ColumnDocumentReader",
     "open_column_document",
@@ -398,15 +397,6 @@ class ColumnDocumentReader:
         for name in self._frames:
             self.column(name)
 
-    def checksum(self) -> str:
-        """blake2b-16 hexdigest of the whole document, hashed over the map.
-
-        Matches :func:`repro.persistence.store.checksum_bytes` without ever
-        materialising the file bytes as a Python object — pages stream through
-        the hash and stay evictable page cache.
-        """
-        return hashlib.blake2b(self._view, digest_size=16).hexdigest()
-
     # -- lifecycle ----------------------------------------------------- #
     def close(self) -> None:
         """Release the reader's reference to the mapping.
@@ -449,8 +439,8 @@ def open_column_document(
     return reader
 
 
-def split_ragged_column(values: np.ndarray, counts: np.ndarray, *, what: str) -> list:
-    """Split a concatenated value column back into per-entry python lists.
+def ragged_chunks(values: np.ndarray, counts: np.ndarray, *, what: str) -> list[np.ndarray]:
+    """Split a concatenated value column into per-entry views of ``values``.
 
     The column container's encoding for ragged structures is one flat value
     column plus an aligned per-entry count column; every column reader (index
@@ -464,13 +454,18 @@ def split_ragged_column(values: np.ndarray, counts: np.ndarray, *, what: str) ->
                 "but its count column is empty"
             )
         return []
-    boundaries = np.cumsum(counts)
-    if values.size != boundaries[-1]:
+    ends = np.cumsum(counts).tolist()
+    if values.size != ends[-1]:
         raise DataError(
             f"malformed column document: {what} holds {values.size} values "
-            f"but the counts sum to {int(boundaries[-1])}"
+            f"but the counts sum to {ends[-1]}"
         )
-    return [chunk.tolist() for chunk in np.split(values, boundaries[:-1])]
+    return [values[start:end] for start, end in zip([0, *ends[:-1]], ends)]
+
+
+def split_ragged_column(values: np.ndarray, counts: np.ndarray, *, what: str) -> list:
+    """:func:`ragged_chunks` as per-entry python lists."""
+    return [chunk.tolist() for chunk in ragged_chunks(values, counts, what=what)]
 
 
 # --------------------------------------------------------------------------- #
@@ -523,16 +518,6 @@ def distribution_from_dict(payload: dict) -> Distribution:
     return distribution_from_sequences(costs, probabilities)
 
 
-def joint_to_dict(joint: JointDistribution) -> dict:
-    """Encode a joint distribution as edge ids plus (cost-vector, probability) outcomes."""
-    return {
-        "edge_ids": list(joint.edge_ids),
-        "outcomes": [
-            {"costs": list(costs), "probability": probability} for costs, probability in joint.items()
-        ],
-    }
-
-
 def joint_from_sequences(
     edge_ids: Sequence[int], items: Sequence[tuple[tuple[float, ...], float]]
 ) -> JointDistribution:
@@ -549,14 +534,3 @@ def joint_from_sequences(
         return JointDistribution.from_normalised(edge_ids, items)
     except (JointDistributionError, TypeError, ValueError):
         return JointDistribution(edge_ids, items, normalise=True)
-
-
-def joint_from_dict(payload: dict) -> JointDistribution:
-    """Decode a joint distribution encoded by :func:`joint_to_dict`."""
-    try:
-        edge_ids = payload["edge_ids"]
-        outcomes = payload["outcomes"]
-        items = [(tuple(entry["costs"]), entry["probability"]) for entry in outcomes]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed joint distribution payload: {payload!r}") from exc
-    return joint_from_sequences(edge_ids, items)

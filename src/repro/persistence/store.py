@@ -62,9 +62,9 @@ from repro.persistence.codecs import (
     strict_json_loads,
 )
 from repro.persistence.heuristics import (
+    HeuristicEntry,
     encode_heuristic_entry,
     heuristic_entry_from_reader,
-    heuristic_entry_key,
 )
 from repro.persistence.index import (
     INDEX_FORMAT_V2,
@@ -490,7 +490,7 @@ class ArtifactStore:
             )
         return pace, updated
 
-    def load_heuristic_entries(self) -> list[dict]:
+    def load_heuristic_entries(self) -> list[HeuristicEntry]:
         """The tagged heuristic entries, or ``[]`` when none were persisted.
 
         Each per-entry column document is streamed through an mmap reader —
@@ -518,11 +518,11 @@ class ArtifactStore:
                     )
         return self.manifest.heuristic_entry_names()
 
-    def _load_heuristic_document(self, name: str) -> dict:
+    def _load_heuristic_document(self, name: str) -> HeuristicEntry:
         """Fault in one ``heuristic:<key>`` document, verified against its name."""
         with self._open_artifact_reader(name) as reader:
             entry = heuristic_entry_from_reader(reader)
-        expected = HEURISTIC_ENTRY_PREFIX + heuristic_entry_key(entry)
+        expected = HEURISTIC_ENTRY_PREFIX + entry.key
         if name != expected:
             raise DataError(
                 f"heuristic artifact {name!r} in {self.root} decodes to a different "
@@ -551,7 +551,7 @@ class ArtifactStore:
         graph: PaceGraph | UpdatedPaceGraph,
         fingerprints: dict[str, str | None],
         settings: dict,
-        heuristic_entries: list[dict] | None = None,
+        heuristic_entries: list[HeuristicEntry] | None = None,
         recipe: dict | None = None,
         provenance: dict | None = None,
     ) -> ArtifactManifest:
@@ -603,7 +603,7 @@ class ArtifactStore:
         self._collect_garbage(manifest)
         return manifest
 
-    def _write_heuristics(self, entries: list[dict]) -> dict[str, ArtifactEntry]:
+    def _write_heuristics(self, entries: list[HeuristicEntry]) -> dict[str, ArtifactEntry]:
         """Write one column document per entry, named ``heuristic:<key>``.
 
         Each document is content-addressed by its own digest, so the
@@ -612,7 +612,7 @@ class ArtifactStore:
         """
         artifacts: dict[str, ArtifactEntry] = {}
         for entry in entries:
-            key = heuristic_entry_key(entry)
+            key = entry.key
             name = HEURISTIC_ENTRY_PREFIX + key
             if name in artifacts:
                 raise DataError(
@@ -702,7 +702,7 @@ class HeuristicStoreHandle:
     def __len__(self) -> int:
         return len(self._names)
 
-    def load_entry(self, key: str) -> dict:
+    def load_entry(self, key: str) -> HeuristicEntry:
         """Fault one tagged entry in by key.
 
         Opens exactly that entry's column document (mmap streamed, column

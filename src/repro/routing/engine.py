@@ -51,12 +51,7 @@ from repro.heuristics.binary import (
     PaceBinaryHeuristic,
 )
 from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
-from repro.persistence.heuristics import (
-    binary_heuristic_from_dict,
-    binary_heuristic_to_dict,
-    budget_heuristic_from_dict,
-    budget_heuristic_to_dict,
-)
+from repro.persistence.heuristics import HeuristicEntry, HeuristicSlot
 from repro.routing.accel import accelerator_for
 from repro.routing.backends import ExecutionBackend, SerialBackend
 from repro.routing.methods import METHOD_NAMES, MethodSpec
@@ -625,7 +620,7 @@ class RoutingEngine:
             return self._updated_graph.content_fingerprint()
         return self._pace_graph.content_fingerprint()
 
-    def _graph_signature(self, flavour: str) -> list:
+    def _graph_signature(self, flavour: str) -> tuple[int, ...]:
         """A cheap structural fingerprint of the graph heuristics were built over.
 
         The content fingerprint is the authoritative identity; the signature
@@ -635,57 +630,51 @@ class RoutingEngine:
         :func:`migrate_store` — loadable.
         """
         network = self._pace_graph.network
-        signature = [network.num_vertices, network.num_edges, self._pace_graph.num_tpaths]
+        signature = (network.num_vertices, network.num_edges, self._pace_graph.num_tpaths)
         if flavour == "updated" and self._updated_graph is not None:
-            signature.append(self._updated_graph.num_vpaths)
+            signature += (self._updated_graph.num_vpaths,)
         return signature
 
-    def _heuristic_entries(self) -> list[dict]:
+    def _slot(self, key: tuple) -> HeuristicSlot | None:
+        """The store slot of a cache key (``None`` for keys over foreign graphs).
+
+        Cache keys carry the graph content fingerprint; store slots carry the
+        graph *flavour*, recovered through this engine's own graphs.
+        """
+        kind, variant, fingerprint, destination = key
+        flavour = self._graph_flavour(fingerprint)
+        if flavour is None:
+            return None
+        return HeuristicSlot(kind, variant, flavour, destination)
+
+    def _cache_key(self, slot: HeuristicSlot) -> tuple:
+        """The cache key of a store slot over this engine's graphs."""
+        return (slot.kind, slot.variant, self._graph_fingerprint(slot.graph), slot.destination)
+
+    def _heuristic_entries(self) -> list[HeuristicEntry]:
         """The cache snapshot as tagged, portable heuristic entries.
 
-        Binary heuristics carry their ``getMin`` maps, budget-specific
-        heuristics their Eq. 5 tables plus ``getMin`` maps; each entry is
-        tagged with the cache metadata (variant, δ, which graph it was built
-        over, the graph's content fingerprint and structural signature)
-        needed to re-key and validate it on load — in this process or any
+        Each entry is tagged with its store slot and the content fingerprint
+        and structural signature of the graph it was built over — what is
+        needed to re-key and validate it on load, in this process or any
         other.
         """
-        entries: list[dict] = []
+        entries: list[HeuristicEntry] = []
         for key, heuristic in sorted(self._cache.snapshot().items(), key=lambda kv: str(kv[0])):
-            kind = key[0]
-            if kind == "binary":
-                _, variant, fingerprint, _destination = key
-                if self._graph_flavour(fingerprint) is None:
-                    continue
-                entries.append(
-                    {
-                        "kind": "binary",
-                        "variant": variant,
-                        "destination": heuristic.destination,
-                        "graph_fingerprint": self._graph_fingerprint("pace"),
-                        "graph_signature": self._graph_signature("pace"),
-                        "heuristic": binary_heuristic_to_dict(heuristic),
-                    }
+            slot = self._slot(key)
+            if slot is None:
+                continue
+            entries.append(
+                HeuristicEntry(
+                    slot,
+                    heuristic,
+                    graph_fingerprint=self._graph_fingerprint(slot.graph),
+                    graph_signature=self._graph_signature(slot.graph),
                 )
-            elif kind == "budget":
-                _, delta, fingerprint, _destination = key
-                flavour = self._graph_flavour(fingerprint)
-                if flavour is None:
-                    continue
-                entries.append(
-                    {
-                        "kind": "budget",
-                        "delta": delta,
-                        "graph": flavour,
-                        "destination": heuristic.destination,
-                        "graph_fingerprint": self._graph_fingerprint(flavour),
-                        "graph_signature": self._graph_signature(flavour),
-                        "heuristic": budget_heuristic_to_dict(heuristic),
-                    }
-                )
+            )
         return entries
 
-    def _load_heuristic_entries(self, entries: Sequence[dict]) -> int:
+    def _load_heuristic_entries(self, entries: Sequence[HeuristicEntry]) -> int:
         """Validate tagged entries and seed the cache with them.
 
         Entries written over a graph with different *content* (other dataset,
@@ -709,81 +698,56 @@ class RoutingEngine:
             loaded += 1
         return loaded
 
-    def _validated_heuristic(self, entry: dict) -> tuple[tuple, Heuristic] | None:
+    def _validated_heuristic(self, entry: HeuristicEntry) -> tuple[tuple, Heuristic] | None:
         """Validate one tagged heuristic entry against this engine's graphs.
 
         Returns the ``(cache key, heuristic)`` pair ready for the cache, or
         ``None`` when the entry cannot serve this engine admissibly and
         should simply be (re)built on demand.  Raises
-        :class:`~repro.core.errors.DataError` when the entry is malformed or
-        was built over *different* graph content — both the eager boot and
-        the lazy fault tier apply exactly this validation, so a lazily
-        faulted table can never answer a query an eagerly loaded one would
-        have refused.
+        :class:`~repro.core.errors.DataError` when the entry was built over
+        *different* graph content — both the eager boot and the lazy fault
+        tier apply exactly this validation, so a lazily faulted table can
+        never answer a query an eagerly loaded one would have refused.
         """
-        try:
-            kind = entry["kind"]
-            if kind == "binary":
-                flavour = "pace"
-                heuristic: Heuristic = binary_heuristic_from_dict(entry["heuristic"])
-                key = (
-                    "binary",
-                    entry["variant"],
-                    self._graph_fingerprint("pace"),
-                    heuristic.destination,
+        slot, heuristic = entry.slot, entry.heuristic
+        flavour = slot.graph
+        if flavour == "updated" and self._updated_graph is None:
+            # Tables built over the V-path closure are useless without one;
+            # skip rather than mis-key them.
+            return None
+        if isinstance(heuristic, BudgetSpecificHeuristic):
+            # Exact comparison intended: both sides are the floats the
+            # builder wrote, so any difference means the entry's tag and its
+            # table genuinely disagree.
+            if slot.variant != heuristic.table.delta:  # repro: ignore[float-equality]
+                raise DataError(
+                    f"bundle entry delta {slot.variant!r} does not match "
+                    f"its table delta {heuristic.table.delta!r}"
                 )
-            elif kind == "budget":
-                flavour = entry.get("graph", "pace")
-                if flavour == "updated" and self._updated_graph is None:
-                    # Tables built over the V-path closure are useless
-                    # without one; skip rather than mis-key them.
-                    return None
-                heuristic = budget_heuristic_from_dict(entry["heuristic"])
-                # Exact comparison intended: both sides round-tripped
-                # through the same JSON document, so any difference means
-                # the entry's tag and its table genuinely disagree.
-                if float(entry["delta"]) != heuristic.table.delta:  # repro: ignore[float-equality]
-                    raise DataError(
-                        f"bundle entry delta {entry['delta']!r} does not match "
-                        f"its table delta {heuristic.table.delta!r}"
-                    )
-                if heuristic.table.max_budget < self._settings.max_budget - 1e-9:
-                    # The table cannot answer this engine's largest budgets.
-                    return None
-                if heuristic.grid_rounding != "ceil":
-                    # Floor-built cells may under-estimate (inadmissible);
-                    # routing needs upper bounds, so rebuild instead.
-                    return None
-                key = (
-                    "budget",
-                    float(entry["delta"]),
-                    self._graph_fingerprint(flavour),
-                    heuristic.destination,
+            if heuristic.table.max_budget < self._settings.max_budget - 1e-9:
+                # The table cannot answer this engine's largest budgets.
+                return None
+            if heuristic.grid_rounding != "ceil":
+                # Floor-built cells may under-estimate (inadmissible);
+                # routing needs upper bounds, so rebuild instead.
+                return None
+        fingerprint = self._graph_fingerprint(flavour)
+        signature = self._graph_signature(flavour)
+        if entry.graph_fingerprint is not None:
+            if entry.graph_fingerprint != fingerprint:
+                raise DataError(
+                    "heuristic bundle was built over a different graph "
+                    f"(content fingerprint {entry.graph_fingerprint} != {fingerprint}, "
+                    f"structural signature {entry.graph_signature} vs {signature}); "
+                    "rebuild or load the matching index"
                 )
-            else:
-                raise DataError(f"unknown heuristic bundle entry kind {kind!r}")
-            fingerprint = entry.get("graph_fingerprint")
-            if fingerprint is not None:
-                if fingerprint != self._graph_fingerprint(flavour):
-                    raise DataError(
-                        "heuristic bundle was built over a different graph "
-                        f"(content fingerprint {fingerprint} != "
-                        f"{self._graph_fingerprint(flavour)}, structural signature "
-                        f"{entry.get('graph_signature')} vs "
-                        f"{self._graph_signature(flavour)}); "
-                        "rebuild or load the matching index"
-                    )
-            else:
-                signature = entry.get("graph_signature")
-                if signature is not None and list(signature) != self._graph_signature(flavour):
-                    raise DataError(
-                        f"heuristic bundle was built over a different graph "
-                        f"(signature {signature} != {self._graph_signature(flavour)}); "
-                        "rebuild or load the matching index"
-                    )
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed heuristic bundle entry: {exc}") from exc
-        return key, heuristic
+        elif entry.graph_signature is not None and entry.graph_signature != signature:
+            raise DataError(
+                f"heuristic bundle was built over a different graph "
+                f"(signature {entry.graph_signature} != {signature}); "
+                "rebuild or load the matching index"
+            )
+        return self._cache_key(slot), heuristic
 
     # -------------------------------------------------------------- #
     # Tiered residency (fault heuristics from the artifact store)
@@ -798,29 +762,6 @@ class RoutingEngine:
         self._heuristic_source = handle
         self._cache.set_loader(self._fault_heuristic)
 
-    def _store_entry_key(self, key: tuple) -> str | None:
-        """Map a cache key onto the store's heuristic entry key (or ``None``).
-
-        The store keys entries by :func:`~repro.persistence.heuristics.
-        heuristic_entry_key` (kind, variant/δ, graph *flavour*, destination);
-        cache keys carry the graph content fingerprint instead, so the
-        flavour is recovered through this engine's own graphs.  Keys over
-        foreign fingerprints have no persisted counterpart here.
-        """
-        kind = key[0]
-        if kind == "binary":
-            _, variant, fingerprint, destination = key
-            if self._graph_flavour(fingerprint) is None:
-                return None
-            return f"binary-{variant}-{destination}"
-        if kind == "budget":
-            _, delta, fingerprint, destination = key
-            flavour = self._graph_flavour(fingerprint)
-            if flavour is None:
-                return None
-            return f"budget-{float(delta)!r}-{flavour}-{destination}"
-        return None
-
     def _fault_heuristic(self, key: tuple) -> Heuristic | None:
         """The cache's fault tier: load ``key``'s persisted entry on demand.
 
@@ -831,10 +772,10 @@ class RoutingEngine:
         handle = self._heuristic_source
         if handle is None:
             return None
-        name = self._store_entry_key(key)
-        if name is None or name not in handle:
+        slot = self._slot(key)
+        if slot is None or slot.key not in handle:
             return None
-        validated = self._validated_heuristic(handle.load_entry(name))
+        validated = self._validated_heuristic(handle.load_entry(slot.key))
         if validated is None:
             return None
         loaded_key, heuristic = validated

@@ -293,15 +293,23 @@ class TestMigration:
         assert RoutingEngine.from_artifacts(store).heuristic_cache.counters().entries == 1
 
     def test_migrate_is_idempotent_at_v2(self, tmp_path, capsys):
+        """Migrating a current store decodes and re-encodes every document to the same bytes."""
         store = tmp_path / "store"
         assert main(
-            ["build-artifacts", "--dataset", "tiny", "--out", str(store), "--sweeps", "1"]
+            [
+                "build-artifacts", "--dataset", "tiny", "--out", str(store), "--sweeps", "1",
+                "--method", "T-B-P", "--method", "T-BS-60", "--destinations", "20", "35",
+            ]
         ) == 0
         capsys.readouterr()
+        built = {name: data for name, (_, data) in _file_states(store, "heuristic-*.bin").items()}
+        assert sorted(name.split("-")[1] for name in built) == ["binary"] * 2 + ["budget"] * 2
         assert main(["migrate-artifacts", str(store)]) == 0
-        first = _file_states(store, "index-*.bin")
+        first = {pattern: _file_states(store, pattern) for pattern in ("index-*.bin", "heuristic-*.bin")}
+        assert {name: data for name, (_, data) in first["heuristic-*.bin"].items()} == built
         assert main(["migrate-artifacts", str(store)]) == 0
-        assert _file_states(store, "index-*.bin") == first
+        for pattern, states in first.items():
+            assert _file_states(store, pattern) == states, pattern
 
     def test_migrate_missing_store_exits_2(self, tmp_path, capsys):
         assert main(["migrate-artifacts", str(tmp_path / "nowhere")]) == 2

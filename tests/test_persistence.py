@@ -9,39 +9,33 @@ import pytest
 
 from repro.core.distributions import Distribution
 from repro.core.errors import DataError
-from repro.core.joint import JointDistribution
 from repro.datasets.paper_example import VD, VS
-from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
-from repro.persistence.codecs import (
-    distribution_from_dict,
-    distribution_to_dict,
-    joint_from_dict,
-    joint_to_dict,
-)
 from repro.heuristics.binary import BinaryHeuristic
-from repro.persistence.heuristics import (
-    binary_heuristic_from_dict,
-    binary_heuristic_to_dict,
-    budget_heuristic_from_dict,
-    budget_heuristic_to_dict,
-    heuristic_table_from_dict,
-    heuristic_table_to_dict,
-)
 from repro.persistence.codecs import (
     decode_column_document,
+    distribution_from_dict,
+    distribution_to_dict,
     encode_column_document,
     is_column_document,
     strict_json_dumps,
     strict_json_loads,
 )
 from repro.persistence.heuristics import (
+    HeuristicEntry,
+    HeuristicSlot,
     decode_heuristic_entry,
     encode_heuristic_entry,
-    heuristic_entry_key,
 )
 from repro.persistence.index import index_from_column_bytes, index_to_column_bytes
-from repro.persistence.legacy import heuristic_bundle_entries, index_from_dict
+from repro.persistence.legacy import (
+    binary_heuristic_from_dict,
+    budget_heuristic_from_dict,
+    heuristic_bundle_entries,
+    heuristic_table_from_dict,
+    index_from_dict,
+    joint_from_dict,
+)
 from repro.routing import RouterSettings, RoutingQuery, create_router
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
@@ -65,12 +59,6 @@ class TestCodecs:
             distribution_from_dict({"costs": [1, 2]})
         with pytest.raises(DataError):
             distribution_from_dict({"costs": [1, 2], "probabilities": [1.0]})
-
-    def test_joint_round_trip(self):
-        original = JointDistribution((1, 2), {(8.0, 8.0): 0.25, (10.0, 9.0): 0.75})
-        restored = joint_from_dict(joint_to_dict(original))
-        assert restored.edge_ids == original.edge_ids
-        assert restored.probability_of((8.0, 8.0)) == pytest.approx(0.25)
 
     def test_joint_malformed(self):
         with pytest.raises(DataError):
@@ -185,56 +173,61 @@ class TestHeuristicEntryCodec:
         heuristic = BudgetSpecificHeuristic(
             paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=8.0, max_budget=64.0)
         )
-        return {
-            "kind": "budget",
-            "delta": 8.0,
-            "graph": "pace",
-            "destination": VD,
-            "graph_fingerprint": paper_example.pace_graph.content_fingerprint(),
-            "graph_signature": [1, 2, 3],
-            "heuristic": budget_heuristic_to_dict(heuristic),
-        }
+        return HeuristicEntry(
+            HeuristicSlot("budget", 8.0, "pace", VD),
+            heuristic,
+            graph_fingerprint=paper_example.pace_graph.content_fingerprint(),
+            graph_signature=(1, 2, 3),
+        )
 
     def test_budget_entry_round_trip_is_cell_exact(self, paper_example):
         entry = self._budget_entry(paper_example)
-        restored = decode_heuristic_entry(encode_heuristic_entry(entry))
-        assert restored["graph_fingerprint"] == entry["graph_fingerprint"]
-        assert restored["graph_signature"] == entry["graph_signature"]
-        original = budget_heuristic_from_dict(entry["heuristic"])
-        decoded = budget_heuristic_from_dict(restored["heuristic"])
+        blob = encode_heuristic_entry(entry)
+        restored = decode_heuristic_entry(blob)
+        assert restored.slot == entry.slot
+        assert restored.graph_fingerprint == entry.graph_fingerprint
+        assert restored.graph_signature == entry.graph_signature
+        original, decoded = entry.heuristic, restored.heuristic
+        assert decoded.grid_rounding == original.grid_rounding
+        assert (decoded.table.delta, decoded.table.eta) == (original.table.delta, original.table.eta)
         assert decoded.table.rows.keys() == original.table.rows.keys()
         for vertex, row in original.table.rows.items():
             other = decoded.table.rows[vertex]
             assert other.first_index == row.first_index
             assert other.values.tobytes() == row.values.tobytes()
         assert decoded.binary.min_cost_map() == original.binary.min_cost_map()
+        # Decode -> encode writes the same bytes (what makes a migrate idempotent).
+        assert encode_heuristic_entry(restored) == blob
 
     def test_binary_entry_round_trips_infinite_get_min_natively(self):
-        entry = {
-            "kind": "binary",
-            "variant": "P",
-            "destination": 7,
-            "graph_fingerprint": "f" * 32,
-            "graph_signature": [4, 5, 6],
-            "heuristic": binary_heuristic_to_dict(
-                BinaryHeuristic(7, {7: 0.0, 1: 12.5, 2: float("inf")})
-            ),
-        }
-        restored = decode_heuristic_entry(encode_heuristic_entry(entry))
-        decoded = binary_heuristic_from_dict(restored["heuristic"])
-        assert decoded.min_cost(2) == float("inf")
-        assert decoded.min_cost(1) == 12.5
+        entry = HeuristicEntry(
+            HeuristicSlot("binary", "P", "pace", 7),
+            BinaryHeuristic(7, {7: 0.0, 1: 12.5, 2: float("inf")}),
+            graph_fingerprint="f" * 32,
+            graph_signature=(4, 5, 6),
+        )
+        blob = encode_heuristic_entry(entry)
+        restored = decode_heuristic_entry(blob)
+        assert restored.key == "binary-P-7"
+        assert restored.heuristic.min_cost(2) == float("inf")
+        assert restored.heuristic.min_cost(1) == 12.5
+        assert encode_heuristic_entry(restored) == blob
 
     def test_entry_keys_are_stable_and_distinct(self, paper_example):
         budget = self._budget_entry(paper_example)
-        assert heuristic_entry_key(budget) == f"budget-8.0-pace-{VD}"
-        assert heuristic_entry_key({**budget, "graph": "updated"}) == f"budget-8.0-updated-{VD}"
-        assert (
-            heuristic_entry_key({"kind": "binary", "variant": "EU", "destination": 3})
-            == "binary-EU-3"
-        )
-        with pytest.raises(DataError, match="unknown heuristic bundle entry kind"):
-            heuristic_entry_key({"kind": "mystery", "destination": 1})
+        assert budget.key == f"budget-8.0-pace-{VD}"
+        assert HeuristicSlot("budget", 8.0, "updated", VD).key == f"budget-8.0-updated-{VD}"
+        assert HeuristicSlot("budget", 0.1, "pace", 3).key == "budget-0.1-pace-3"
+        assert HeuristicSlot("binary", "EU", "pace", 3).key == "binary-EU-3"
+        with pytest.raises(DataError, match="unknown heuristic entry kind"):
+            HeuristicSlot("mystery", "P", "pace", 1)
+
+    def test_entry_refuses_a_heuristic_of_another_kind_or_destination(self):
+        binary = BinaryHeuristic(7, {7: 0.0, 1: 12.5})
+        with pytest.raises(DataError, match="destination 8 holds the heuristic of destination 7"):
+            HeuristicEntry(HeuristicSlot("binary", "P", "pace", 8), binary)
+        with pytest.raises(DataError, match="budget heuristic entry holds a BinaryHeuristic"):
+            HeuristicEntry(HeuristicSlot("budget", 8.0, "pace", 7), binary)
 
     def test_decode_rejects_non_entry_documents(self):
         import numpy as np
@@ -242,6 +235,34 @@ class TestHeuristicEntryCodec:
         blob = encode_column_document({"kind": "something"}, {"c": np.zeros(1)})
         with pytest.raises(DataError, match="not a heuristic entry document"):
             decode_heuristic_entry(blob)
+
+    def test_decode_rejects_malformed_columns_and_tags(self, paper_example):
+        import numpy as np
+
+        meta, columns = decode_column_document(
+            encode_heuristic_entry(self._budget_entry(paper_example))
+        )
+
+        def decode(meta=meta, **changed):
+            document = {**columns, **changed}
+            document = {name: column for name, column in document.items() if column is not None}
+            return decode_heuristic_entry(encode_column_document(meta, document))
+
+        with pytest.raises(DataError, match="row_cell holds"):
+            decode(row_cell_count=columns["row_cell_count"] + 1)
+        with pytest.raises(DataError, match="row columns hold"):
+            decode(row_first_index=columns["row_first_index"][:-1])
+        with pytest.raises(DataError, match="malformed heuristic entry document"):
+            decode(binary_vertex=None)
+        with pytest.raises(DataError, match="NaN getMin"):
+            decode(binary_min_cost=np.full(columns["binary_min_cost"].size, np.nan))
+        with pytest.raises(DataError, match="getMin vertices"):
+            decode(binary_min_cost=columns["binary_min_cost"][:-1])
+        retagged = {**meta, "tags": {**meta["tags"], "destination": VD + 1}}
+        with pytest.raises(DataError, match="destination"):
+            decode(meta=retagged)
+        with pytest.raises(DataError, match="malformed heuristic entry document"):
+            decode(meta={**meta, "grid_rounding": "sideways"})
 
 
 class TestIndexPersistence:
@@ -275,85 +296,22 @@ class TestIndexPersistence:
 
 
 class TestHeuristicPersistence:
-    def test_binary_round_trip(self, paper_example):
-        original = PaceBinaryHeuristic(paper_example.pace_graph, VD)
-        restored = binary_heuristic_from_dict(binary_heuristic_to_dict(original))
-        for vertex in range(8):
-            assert restored.min_cost(vertex) == original.min_cost(vertex)
-            assert restored.probability(vertex, 20) == original.probability(vertex, 20)
-
     def test_binary_malformed(self):
         with pytest.raises(DataError):
             binary_heuristic_from_dict({"destination": 1})
-
-    def test_table_round_trip(self, paper_example):
-        heuristic = BudgetSpecificHeuristic(
-            paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=3, max_budget=36)
-        )
-        text = strict_json_dumps(heuristic_table_to_dict(heuristic))
-        restored = heuristic_table_from_dict(strict_json_loads(text, what="table"))
-        assert restored.destination == VD
-        assert restored.delta == 3
-        for vertex in range(8):
-            for budget in range(0, 39, 3):
-                assert restored.value(vertex, budget) == pytest.approx(
-                    heuristic.table.value(vertex, budget)
-                )
-
-    def test_table_accepts_raw_table(self, paper_example):
-        heuristic = BudgetSpecificHeuristic(
-            paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=6, max_budget=36)
-        )
-        payload = heuristic_table_to_dict(heuristic.table)
-        assert heuristic_table_from_dict(payload).storage_cells() == heuristic.table.storage_cells()
 
     def test_table_malformed(self):
         with pytest.raises(DataError):
             heuristic_table_from_dict({"format_version": 99})
 
-    def test_non_numeric_vertex_is_data_error(self, paper_example):
+    def test_non_numeric_vertex_is_data_error(self):
         """Regression: int('spindle') used to escape as a bare ValueError."""
-        heuristic = BudgetSpecificHeuristic(
-            paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=6, max_budget=36)
-        )
-        payload = heuristic_table_to_dict(heuristic.table)
+        payload = _v1_document("heuristics")["entries"][0]["heuristic"]["table"]
         rows = dict(payload["rows"])
         rows["spindle"] = next(iter(rows.values()))
         payload["rows"] = rows
         with pytest.raises(DataError, match="malformed heuristic table payload"):
             heuristic_table_from_dict(payload)
-
-    def test_entry_with_non_numeric_row_vertex_is_data_error(self, paper_example):
-        """Regression: encode_heuristic_entry let int() ValueErrors escape."""
-        heuristic = BudgetSpecificHeuristic(
-            paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=6, max_budget=36)
-        )
-        entry = {
-            "kind": "budget",
-            "variant": "T",
-            "graph": "pace",
-            "delta": 6.0,
-            "heuristic": budget_heuristic_to_dict(heuristic),
-        }
-        rows = dict(entry["heuristic"]["table"]["rows"])
-        rows["spindle"] = next(iter(rows.values()))
-        entry["heuristic"]["table"]["rows"] = rows
-        with pytest.raises(DataError, match="malformed heuristic bundle entry"):
-            encode_heuristic_entry(entry)
-
-    def test_binary_round_trips_unreachable_vertices_as_strict_json(self):
-        """``getMin = inf`` must survive strict JSON (no non-standard Infinity)."""
-        import json
-
-        original = BinaryHeuristic(7, {1: 12.5, 2: float("inf"), 3: 0.0})
-        payload = binary_heuristic_to_dict(original)
-        text = json.dumps(payload, allow_nan=False)  # raises on raw inf/nan
-        assert "Infinity" not in text
-        restored = binary_heuristic_from_dict(json.loads(text))
-        assert restored.min_cost(1) == 12.5
-        assert restored.min_cost(2) == float("inf")
-        assert restored.probability(2, 1e12) == 0.0
-        assert restored.min_cost(3) == 0.0
 
     def test_binary_accepts_legacy_infinity_token(self):
         """Files written before the sentinel used json's non-standard Infinity."""
@@ -373,7 +331,8 @@ class TestHeuristicPersistence:
         heuristic = BudgetSpecificHeuristic(
             paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=3, max_budget=36)
         )
-        restored = budget_heuristic_from_dict(budget_heuristic_to_dict(heuristic))
+        entry = HeuristicEntry(HeuristicSlot("budget", 3.0, "pace", VD), heuristic)
+        restored = decode_heuristic_entry(encode_heuristic_entry(entry)).heuristic
         assert restored.destination == VD
         assert restored.delta == 3
         assert restored.build_seconds == 0.0
@@ -386,10 +345,9 @@ class TestHeuristicPersistence:
 class TestHeuristicBundle:
     def test_fixture_bundle_decodes(self):
         loaded = heuristic_bundle_entries(_v1_document("heuristics"))
-        assert [(e["kind"], e["delta"], e["destination"]) for e in loaded] == [
-            ("budget", 60.0, 35)
-        ]
-        restored = budget_heuristic_from_dict(loaded[0]["heuristic"])
+        assert [entry.key for entry in loaded] == ["budget-60.0-pace-35"]
+        assert loaded[0].graph_signature == (36, 114, 19)
+        restored = loaded[0].heuristic
         assert restored.destination == 35
         assert restored.table.storage_cells() > 0
 
@@ -426,11 +384,8 @@ class TestFormatVersionHandling:
         with pytest.raises(DataError, match=r"binary heuristic format version 2.*supports version 1"):
             binary_heuristic_from_dict(payload)
 
-    def test_budget_heuristic_rejects_unknown_version(self, paper_example):
-        heuristic = BudgetSpecificHeuristic(
-            paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=6, max_budget=36)
-        )
-        payload = budget_heuristic_to_dict(heuristic)
+    def test_budget_heuristic_rejects_unknown_version(self):
+        payload = _v1_document("heuristics")["entries"][0]["heuristic"]
         payload["format_version"] = 7
         with pytest.raises(DataError, match=r"budget heuristic format version 7.*supports version 1"):
             budget_heuristic_from_dict(payload)

@@ -157,6 +157,50 @@ class TestPublicApi:
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
+    def test_one_heuristic_codec(self):
+        """Heuristics persist straight to columns; the v1 dict shapes live in legacy only."""
+        from repro.persistence import codecs, heuristics, legacy
+        from repro.routing.engine import RoutingEngine
+
+        persistence = importlib.import_module("repro.persistence")
+        v1_codecs = {
+            "binary_heuristic_to_dict",
+            "binary_heuristic_from_dict",
+            "heuristic_table_to_dict",
+            "heuristic_table_from_dict",
+            "budget_heuristic_to_dict",
+            "budget_heuristic_from_dict",
+            "joint_to_dict",
+            "joint_from_dict",
+        }
+        for name in v1_codecs | {"heuristic_entry_key"}:
+            for module in (persistence, heuristics, codecs):
+                assert not hasattr(module, name), (module.__name__, name)
+        assert not [
+            name for name in persistence.__all__
+            if name.endswith(("_to_dict", "_from_dict")) and not name.startswith("distribution_")
+        ]
+        for module, name in (
+            (heuristics, "_INFINITY_SENTINEL"),
+            (codecs.ColumnDocumentReader, "checksum"),
+            (RoutingEngine, "_store_entry_key"),
+        ):
+            assert not hasattr(module, name), name
+        assert {name for name in v1_codecs if hasattr(legacy, name)} == {
+            name for name in v1_codecs if name.endswith("_from_dict")
+        }
+        # No product module but the migrator's reader spells a v1 heuristic payload.
+        src = Path(repro.__file__).parent
+        spellers = set()
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                named = getattr(node, "id", None) or getattr(node, "attr", None)
+                if named in v1_codecs or (
+                    isinstance(node, ast.Constant) and node.value == "min_costs"
+                ):
+                    spellers.add(path.relative_to(src).as_posix())
+        assert spellers == {"persistence/legacy.py"}
+
     def test_one_search_loop_and_one_table_builder(self):
         """No option selects a second router search loop or Bellman working memory."""
         from repro.heuristics import budget

@@ -17,7 +17,6 @@ PR 10's contract, pinned from four directions:
 
 from __future__ import annotations
 
-import hashlib
 import shutil
 import threading
 import tracemalloc
@@ -27,6 +26,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError, DataError
 from repro.persistence.codecs import (
+    ColumnDocumentReader,
     decode_column_document,
     encode_column_document,
     open_column_document,
@@ -266,6 +266,43 @@ class TestFaultTier:
         # Un-cacheable entries are re-faulted per lookup, never silently dropped.
         assert counters.faults >= 2
 
+    def test_faulted_heuristic_owns_its_memory(self, store_v2, monkeypatch):
+        """A faulted table holds no view of the mapped document it was decoded from.
+
+        Its cells are copied out of the verified columns once, so the reader
+        unmaps the document as soon as the decode returns.
+        """
+        handle = ArtifactStore.open(store_v2).open_heuristics()
+        closed = []
+        close = ColumnDocumentReader.close
+
+        def recording_close(reader):
+            close(reader)
+            closed.append(reader._map.closed)
+
+        monkeypatch.setattr(ColumnDocumentReader, "close", recording_close)
+        for key in handle.keys():
+            handle.load_entry(key)
+        assert closed == [True] * len(handle)
+
+        mapped = []
+        column = ColumnDocumentReader.column
+
+        def recording_column(reader, name):
+            array = column(reader, name)
+            mapped.append(array)
+            return array
+
+        monkeypatch.setattr(ColumnDocumentReader, "column", recording_column)
+        budget_keys = [key for key in handle.keys() if key.startswith("budget-")]
+        assert budget_keys
+        for key in budget_keys:
+            mapped.clear()
+            table = handle.load_entry(key).heuristic.table
+            assert mapped and table.rows
+            for row in table.rows.values():
+                assert not any(np.shares_memory(row.values, array) for array in mapped)
+
     def test_cache_bytes_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="cache_bytes"):
             HeuristicCache(cache_bytes=0)
@@ -340,14 +377,6 @@ class TestColumnDocumentReader:
         view = reader.column("alpha")
         reader.close()  # BufferError swallowed; the map stays alive for `view`
         np.testing.assert_array_equal(view, columns["alpha"])
-
-    def test_reader_checksum_matches_whole_file_blake2b(self, document):
-        path, _, _ = document
-        with open_column_document(path) as reader:
-            assert (
-                reader.checksum()
-                == hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
-            )
 
     def test_unknown_column_name_is_rejected(self, document):
         path, _, _ = document

@@ -11,7 +11,7 @@ from repro.core.errors import ConfigurationError, DataError
 from repro.datasets.paper_example import VD, VS
 from repro.evaluation.workloads import WorkloadConfig, generate_workload
 from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
-from repro.persistence.heuristics import budget_heuristic_to_dict
+from repro.persistence.heuristics import HeuristicEntry, HeuristicSlot
 from repro.persistence.store import ArtifactStore
 from repro.routing.engine import (
     METHOD_NAMES,
@@ -312,14 +312,11 @@ class TestHeuristicPersistenceRoundTrip:
         floor_heuristic = BudgetSpecificHeuristic(
             pace, VD, BudgetHeuristicConfig(delta=60, max_budget=120, grid_rounding="floor")
         )
-        entry = {
-            "kind": "budget",
-            "delta": 60.0,
-            "graph": "pace",
-            "destination": VD,
-            "graph_fingerprint": pace.content_fingerprint(),
-            "heuristic": budget_heuristic_to_dict(floor_heuristic),
-        }
+        entry = HeuristicEntry(
+            HeuristicSlot("budget", 60.0, "pace", VD),
+            floor_heuristic,
+            graph_fingerprint=pace.content_fingerprint(),
+        )
         settings = RouterSettings(max_budget=120.0)
         _store_with_entries(tmp_path / "floor", pace, updated_example, settings, [entry])
         engine = RoutingEngine.from_artifacts(tmp_path / "floor")
@@ -394,3 +391,37 @@ class TestFig13StyleWorkload:
             assert (batched.path is None) == (single.path is None)
             if batched.path is not None:
                 assert batched.path.edges == single.path.edges
+
+
+class TestArrivalProbabilityIsAProbability:
+    """Regression: summed support probabilities overshot 1 by an ulp or two.
+
+    On the tiny city these queries returned ``0x1.0000000000001p+0`` (and
+    ``...2p+0`` for T-None 0→20).  Every router's answer is clamped once, in
+    :class:`RoutingResult`; the distributions the search compares are not.
+    """
+
+    CASES = (
+        ("T-B-P", 0, 35, 500.0, (2, 22, 26, 28, 34, 54, 71, 67, 68, 88, 94, 108, 110, 112)),
+        ("T-BS-60", 0, 35, 500.0, (2, 22, 26, 28, 34, 54, 71, 67, 68, 88, 94, 108, 110, 112)),
+        ("V-None", 0, 35, 500.0, (2, 24, 42, 64, 86, 104, 106, 108, 110, 112)),
+        ("T-None", 0, 35, 500.0, (2, 24, 42, 64, 86, 104, 106, 108, 110, 112)),
+        ("T-None", 0, 20, 350.0, (0, 6, 23, 24, 42, 62, 66)),
+    )
+
+    @pytest.fixture(scope="class")
+    def tiny_engine(self):
+        from repro.routing import DatasetRecipe
+
+        recipe = DatasetRecipe(dataset="tiny", regime="peak", tau=20)
+        return recipe.build_engine(settings=RouterSettings(max_budget=900.0, max_explored=2000))
+
+    @pytest.mark.parametrize(("method", "source", "destination", "budget", "edges"), CASES)
+    def test_probability_is_at_most_one_and_paths_are_unchanged(
+        self, tiny_engine, method, source, destination, budget, edges
+    ):
+        result = tiny_engine.route(RoutingQuery(source, destination, budget), method=method)
+        assert result.path.edges == edges
+        assert result.probability == 1.0
+        # The clamp is on the answer only: the path's distribution still sums past 1.
+        assert result.distribution.prob_at_most(budget) > 1.0
