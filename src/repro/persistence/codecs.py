@@ -49,7 +49,6 @@ __all__ = [
     "decode_column_document",
     "is_column_document",
     "ragged_chunks",
-    "split_ragged_column",
     "ColumnDocumentReader",
     "open_column_document",
 ]
@@ -461,11 +460,6 @@ def ragged_chunks(values: np.ndarray, counts: np.ndarray, *, what: str) -> list[
             f"but the counts sum to {ends[-1]}"
         )
     return [values[start:end] for start, end in zip([0, *ends[:-1]], ends)]
-
-
-def split_ragged_column(values: np.ndarray, counts: np.ndarray, *, what: str) -> list:
-    """:func:`ragged_chunks` as per-entry python lists."""
-    return [chunk.tolist() for chunk in ragged_chunks(values, counts, what=what)]
 
 
 # --------------------------------------------------------------------------- #

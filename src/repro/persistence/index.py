@@ -35,8 +35,8 @@ from repro.persistence.codecs import (
     distribution_from_sequences,
     encode_column_document,
     joint_from_sequences,
+    ragged_chunks,
     require_format_version,
-    split_ragged_column,
 )
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
@@ -178,6 +178,11 @@ def index_from_column_reader(reader: ColumnDocumentReader) -> UpdatedPaceGraph:
     return _index_from_meta_columns(reader.meta, reader.columns())
 
 
+def _ragged_lists(values: np.ndarray, counts: np.ndarray, *, what: str) -> list[list]:
+    """:func:`ragged_chunks` as per-entry python lists."""
+    return [chunk.tolist() for chunk in ragged_chunks(values, counts, what=what)]
+
+
 def _index_from_meta_columns(meta: dict, columns: dict[str, np.ndarray]) -> UpdatedPaceGraph:
     if meta.get("kind") != _INDEX_KIND:
         raise DataError(f"not a columnar index document (kind {meta.get('kind')!r})")
@@ -199,10 +204,10 @@ def _index_from_meta_columns(meta: dict, columns: dict[str, np.ndarray]) -> Upda
         ):
             network.add_edge(source, target, edge_id=edge_id, length=length, speed_limit=speed)
 
-        weight_costs = split_ragged_column(
+        weight_costs = _ragged_lists(
             columns["weight_cost"], columns["weight_count"], what="weight_cost"
         )
-        weight_probs = split_ragged_column(
+        weight_probs = _ragged_lists(
             columns["weight_prob"], columns["weight_count"], what="weight_prob"
         )
         weights = {
@@ -214,18 +219,18 @@ def _index_from_meta_columns(meta: dict, columns: dict[str, np.ndarray]) -> Upda
         edge_graph = EdgeGraph(network, weights)
         pace = PaceGraph(edge_graph, tau=meta["tau"])
 
-        tpath_edges = split_ragged_column(
+        tpath_edges = _ragged_lists(
             columns["tpath_edge_id"], columns["tpath_edge_count"], what="tpath_edge_id"
         )
-        joint_edges = split_ragged_column(
+        joint_edges = _ragged_lists(
             columns["tpath_joint_edge_id"], columns["tpath_joint_edge_count"],
             what="tpath_joint_edge_id",
         )
-        outcome_probs = split_ragged_column(
+        outcome_probs = _ragged_lists(
             columns["tpath_outcome_prob"], columns["tpath_outcome_count"],
             what="tpath_outcome_prob",
         )
-        outcome_costs = split_ragged_column(
+        outcome_costs = _ragged_lists(
             columns["tpath_outcome_cost"],
             columns["tpath_outcome_count"] * columns["tpath_joint_edge_count"],
             what="tpath_outcome_cost",
@@ -242,13 +247,13 @@ def _index_from_meta_columns(meta: dict, columns: dict[str, np.ndarray]) -> Upda
             path = network.path_from_edge_ids(edges)
             pace.add_tpath(path, joint_from_sequences(joint_ids, items), support=support)
 
-        vpath_edges = split_ragged_column(
+        vpath_edges = _ragged_lists(
             columns["vpath_edge_id"], columns["vpath_edge_count"], what="vpath_edge_id"
         )
-        vpath_costs = split_ragged_column(
+        vpath_costs = _ragged_lists(
             columns["vpath_cost"], columns["vpath_cost_count"], what="vpath_cost"
         )
-        vpath_probs = split_ragged_column(
+        vpath_probs = _ragged_lists(
             columns["vpath_prob"], columns["vpath_cost_count"], what="vpath_prob"
         )
         vpaths: dict[tuple[int, ...], WeightedElement] = {}

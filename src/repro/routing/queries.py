@@ -50,12 +50,10 @@ class RoutingResult:
 
     def __post_init__(self) -> None:
         # A path's arrival probability sums its support's probabilities, which
-        # can overshoot 1 by an ulp or two; answers stay in [0, 1].  The search
+        # can overshoot 1 by an ulp or two; answers are capped at 1.  The search
         # itself compares the unclamped distributions.
         if self.probability > 1.0:
             object.__setattr__(self, "probability", 1.0)
-        elif self.probability < 0.0:
-            object.__setattr__(self, "probability", 0.0)
 
     @property
     def found(self) -> bool:
