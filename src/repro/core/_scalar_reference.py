@@ -1,19 +1,23 @@
-"""Scalar reference implementation of the distribution kernel.
+"""Scalar reference implementations of the distribution kernel and of Eq. 1.
 
 This module preserves the original pure-Python semantics of
 :class:`repro.core.distributions.Distribution` — dict-accumulator
 convolution, tuple-scan CDF lookups, pairwise dominance over the merged
-support — from before the NumPy rewrite.  It exists for two reasons:
+support — from before the NumPy rewrite, and the nested-loop T-path
+assembly ``⋄`` that :meth:`repro.core.joint.JointDistribution.assemble`
+replaced with a hash join.  It exists for two reasons:
 
-* the property-based tests in ``tests/test_kernel_reference.py`` check that
-  the vectorized kernel agrees with this (much simpler, obviously-correct)
-  implementation on random distributions, and
+* the property-based tests in ``tests/test_kernel_reference.py`` and
+  ``tests/test_joint.py`` check that the production code agrees with these
+  (much simpler, obviously-correct) implementations, and
 * the micro-benchmark in ``benchmarks/test_kernel_microbench.py`` measures
   the vectorized kernel's speed-up against it on chained convolution and
-  dominance workloads.
+  dominance workloads, and ``benchmarks/test_closure_parity.py`` builds a
+  city-scale V-path closure with each assembly.
 
 It is deliberately *not* exported from :mod:`repro.core`: production code
-must use :class:`~repro.core.distributions.Distribution`.
+must use :class:`~repro.core.distributions.Distribution` and
+:class:`~repro.core.joint.JointDistribution`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
-__all__ = ["ScalarDistribution"]
+from repro.core.errors import JointDistributionError
+from repro.core.joint import JointDistribution
+
+__all__ = ["ScalarDistribution", "assemble_reference"]
 
 _PROBABILITY_TOLERANCE = 1e-6
 
@@ -155,3 +162,63 @@ class ScalarDistribution:
             if own > theirs + _PROBABILITY_TOLERANCE:
                 some_strict = True
         return some_strict if strict else True
+
+
+def assemble_reference(
+    left: JointDistribution,
+    right: JointDistribution,
+    *,
+    overlap: JointDistribution | None = None,
+) -> JointDistribution:
+    """``left ⋄ right`` by the original nested loop (same contract as ``assemble``).
+
+    Every right outcome scans every left outcome and compares the projection
+    of the shared edges, and the result goes through the validating
+    constructor.  Bound to ``JointDistribution.assemble`` it reproduces the
+    pre-hash-join behaviour bit for bit.
+    """
+    left_edges = tuple(left.edge_ids)
+    right_edges = tuple(right.edge_ids)
+    shared = [e for e in left_edges if e in right_edges]
+    if not shared:
+        combined: dict[tuple[float, ...], float] = {}
+        for costs_a, prob_a in left.items():
+            for costs_b, prob_b in right.items():
+                combined[costs_a + costs_b] = (
+                    combined.get(costs_a + costs_b, 0.0) + prob_a * prob_b
+                )
+        return JointDistribution(left_edges + right_edges, combined)
+
+    shared_tuple = tuple(shared)
+    if left_edges[-len(shared_tuple) :] != shared_tuple:
+        raise JointDistributionError(
+            f"overlap {shared_tuple} is not a suffix of the left joint {left_edges}"
+        )
+    if right_edges[: len(shared_tuple)] != shared_tuple:
+        raise JointDistributionError(
+            f"overlap {shared_tuple} is not a prefix of the right joint {right_edges}"
+        )
+    overlap_joint = overlap if overlap is not None else right.marginal(shared_tuple)
+    if tuple(overlap_joint.edge_ids) != shared_tuple:
+        overlap_joint = overlap_joint.marginal(shared_tuple)
+
+    new_edges = left_edges + right_edges[len(shared_tuple) :]
+    left_positions = [left_edges.index(e) for e in shared_tuple]
+    combined = {}
+    for costs_b, prob_b in right.items():
+        overlap_costs = costs_b[: len(shared_tuple)]
+        denom = overlap_joint.probability_of(overlap_costs)
+        if denom <= 0:
+            continue
+        tail = costs_b[len(shared_tuple) :]
+        for costs_a, prob_a in left.items():
+            if tuple(costs_a[i] for i in left_positions) != overlap_costs:
+                continue
+            key = costs_a + tail
+            combined[key] = combined.get(key, 0.0) + prob_a * prob_b / denom
+    if not combined:
+        raise JointDistributionError(
+            "assembly produced an empty distribution: the overlap outcomes of the two "
+            "joints are disjoint"
+        )
+    return JointDistribution(new_edges, combined, normalise=True)

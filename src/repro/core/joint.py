@@ -132,6 +132,36 @@ class JointDistribution:
         return self
 
     @classmethod
+    def _trusted(
+        cls,
+        edge_ids: tuple[int, ...],
+        outcomes: dict[tuple[float, ...], float],
+    ) -> "JointDistribution":
+        """Normalise outcomes built from the cost vectors of validated joints.
+
+        The cost vectors are concatenations of already validated ones and
+        ``edge_ids`` is distinct, so only the checks the constructor applies
+        to the probabilities remain: non-positive entries are dropped, a
+        non-finite one is refused, and the rest are divided by their sum —
+        the same floats ``JointDistribution(edge_ids, outcomes,
+        normalise=True)`` would produce, without re-checking every cost.
+        """
+        positive = {costs: prob for costs, prob in outcomes.items() if prob > 0}
+        if not positive:
+            raise JointDistributionError("a joint distribution needs at least one outcome")
+        total = sum(positive.values())
+        if not math.isfinite(total):
+            for prob in positive.values():
+                if not math.isfinite(prob):
+                    raise JointDistributionError(
+                        f"probabilities must be non-negative, got {prob!r}"
+                    )
+        self = object.__new__(cls)
+        self._edge_ids = edge_ids
+        self._pmf = {costs: prob / total for costs, prob in positive.items()}
+        return self
+
+    @classmethod
     def from_samples(
         cls,
         edge_ids: Sequence[int],
@@ -246,6 +276,12 @@ class JointDistribution:
         proper conditional chain (probabilities sum to one as long as every
         overlap outcome of ``self`` also has positive mass under ``other``).
         When the two joints share no edges they are treated as independent.
+
+        Cost: with shared edges, one pass groups the left outcomes by their
+        overlap suffix and each right outcome walks only its group, so the
+        work is ``O(|self| + |other| + produced pairs)`` rather than
+        ``|self| · |other|`` steps (262k at the 512-outcome cap of the V-path
+        closure).  Without shared edges the product takes every pair.
         """
         shared = [e for e in self._edge_ids if e in other._edge_ids]
         if not shared:
@@ -270,18 +306,24 @@ class JointDistribution:
         if tuple(overlap_joint.edge_ids) != shared_tuple:
             overlap_joint = overlap_joint.marginal(shared_tuple)
 
-        new_edges = self._edge_ids + other._edge_ids[len(shared_tuple) :]
-        left_positions = [self._edge_ids.index(e) for e in shared_tuple]
+        width = len(shared_tuple)
+        new_edges = self._edge_ids + other._edge_ids[width:]
+        # Hash join on the overlap: each right outcome meets only the left
+        # outcomes whose suffix equals its prefix, in the left joint's order,
+        # so ``combined`` sees the same pairs in the same order (and the same
+        # float sums) as a scan of every left outcome would.
+        left_by_overlap: dict[tuple[float, ...], list[tuple[tuple[float, ...], float]]] = {}
+        for costs_a, prob_a in self._pmf.items():
+            left_by_overlap.setdefault(costs_a[-width:], []).append((costs_a, prob_a))
+        overlap_pmf = overlap_joint._pmf
         combined = {}
         for costs_b, prob_b in other._pmf.items():
-            overlap_costs = costs_b[: len(shared_tuple)]
-            denom = overlap_joint.probability_of(overlap_costs)
+            overlap_costs = costs_b[:width]
+            denom = overlap_pmf.get(overlap_costs, 0.0)
             if denom <= 0:
                 continue
-            tail = costs_b[len(shared_tuple) :]
-            for costs_a, prob_a in self._pmf.items():
-                if tuple(costs_a[i] for i in left_positions) != overlap_costs:
-                    continue
+            tail = costs_b[width:]
+            for costs_a, prob_a in left_by_overlap.get(overlap_costs, ()):
                 key = costs_a + tail
                 combined[key] = combined.get(key, 0.0) + prob_a * prob_b / denom
         if not combined:
@@ -289,7 +331,7 @@ class JointDistribution:
                 "assembly produced an empty distribution: the overlap outcomes of the two "
                 "joints are disjoint"
             )
-        return JointDistribution(new_edges, combined, normalise=True)
+        return JointDistribution._trusted(new_edges, combined)
 
     def restrict_to_resolution(self, resolution: float) -> "JointDistribution":
         """Round every per-edge cost to the nearest multiple of ``resolution``."""

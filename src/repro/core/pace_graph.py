@@ -57,6 +57,7 @@ class PaceGraph:
         self._tpaths_by_first_edge: dict[int, list[WeightedElement]] = {}
         self._fingerprint: str | None = None
         self._max_cardinality: int | None = None
+        self._edge_elements: dict[int, WeightedElement] = {}
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -206,14 +207,30 @@ class PaceGraph:
     # Elements (edges and T-paths) for traversal
     # ------------------------------------------------------------------ #
     def edge_element(self, edge_id: int) -> WeightedElement:
-        """A single edge wrapped as a traversable weighted element."""
+        """A single edge wrapped as a traversable weighted element.
+
+        One element is memoized per edge, so the table builders and searches
+        that walk every vertex's elements do not build a new ``Path`` and
+        ``WeightedElement`` per visit.  The memo is served only while its
+        distribution *is* the edge graph's current ``W(e)`` object: folding
+        a single-edge T-path into the weight (:meth:`add_tpath`) or any
+        direct :meth:`EdgeGraph.set_weight` replaces that object, and the
+        next call rebuilds the element.  The memo is a cache of derived
+        objects: it enters neither :meth:`content_fingerprint` nor anything
+        persisted.
+        """
+        weight = self._edge_graph.weight(edge_id)
+        element = self._edge_elements.get(edge_id)
+        if element is not None and element.distribution is weight:
+            return element
         segment = self.network.edge(edge_id)
-        path = Path([segment.edge_id], [segment.source, segment.target])
-        return WeightedElement(
+        element = WeightedElement(
             kind=ElementKind.EDGE,
-            path=path,
-            distribution=self._edge_graph.weight(edge_id),
+            path=Path([segment.edge_id], [segment.source, segment.target]),
+            distribution=weight,
         )
+        self._edge_elements[edge_id] = element
+        return element
 
     def outgoing_elements(self, vertex_id: int) -> list[WeightedElement]:
         """Every edge or T-path leaving a vertex (what routing may extend with)."""

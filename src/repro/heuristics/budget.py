@@ -40,10 +40,16 @@ element maximum plus the 0/1 saturation trimming back to the compressed
 **Band-compressed working memory.**  Gathers read the successor rows through
 :class:`_BandMirror`, which answers them straight from each row's compressed
 ``l``/``s`` band (0 below ``l``, the stored cells, an implicit 1 tail),
-lazily materialising one small padded array per row on first read — so a
-build's working memory scales with the *stored band cells*, not with
-``V × η`` (a dense ``V × (η+1)`` float64 matrix is ~400 MB at 100k vertices
-× η≈500, which is what kept country-scale grids out of reach).
+lazily materialising one small padded array per row on first read — so no
+dense ``V × (η+1)`` float64 matrix is ever allocated (~400 MB at 100k
+vertices × η≈500, which is what kept country-scale grids out of reach).  The
+row copies scale with the stored band cells, but they are not what sets the
+peak: the gather offsets memoized per element (one int64 per support point
+and budget column, for every block of every element) dominate it and grow
+linearly with η.  On the benchmarks' aalborg-like city, one destination's
+traced peak is 610 / 966 / 1617 KB at η = 250 / 500 / 1000 while its stored
+band cells take about 5 / 14 / 28 KB.  The offsets stay int64 because a
+narrower dtype would add an ``intp`` cast to every gather.
 ``benchmarks/test_artifact_v2_bench.py`` reports the build's peak memory;
 ``tests/test_heuristic_reference.py`` pins the tables to the scalar
 reference builder.
@@ -178,7 +184,7 @@ class _ElementKernel:
 
 
 class _BandMirror:
-    """Band-compressed working view of U: memory scales with stored band cells.
+    """Band-compressed working view of U: no dense ``V × (η+1)`` matrix.
 
     Per row it keeps, lazily on first gather, a padded copy of the stored
     cells framed by the implicit constants — ``[0.0, cells..., 1.0]``.  Rows'
@@ -188,7 +194,9 @@ class _BandMirror:
     tracks the band as it grows) plus one fancy-index.  Columns below the
     band land on the leading 0 (budgets under ``l``), columns above on the
     trailing 1 (budget ``s`` reached), so no dense ``V × (η+1)`` matrix is
-    ever allocated (see the module docstring).
+    ever allocated.  The padded rows scale with the stored band cells; the
+    offsets :meth:`prepare` returns are memoized by the caller, scale with
+    η and dominate the build's peak (see the module docstring).
     """
 
     __slots__ = ("_first", "_cells", "_padded")
@@ -329,9 +337,11 @@ def build_heuristic_table(
                 kernel.blocks.append([u_mirror.prepare(kernel.target, cols), None])
         return kernel.blocks[block_index]
 
-    # Band-compressed working view of U for the vectorized gathers (memory
-    # tracks the stored l/s bands).  The compressed rows themselves live in
-    # ``row_objects`` (mirroring the table) for cheap scalar reads.
+    # Band-compressed working view of U for the vectorized gathers (its
+    # padded rows track the stored l/s bands; the memoized gather offsets in
+    # ``kernels`` grow with η and set the peak).  The compressed rows
+    # themselves live in ``row_objects`` (mirroring the table) for cheap
+    # scalar reads.
     u_mirror = _BandMirror(n, first_index_of)
     has_row = np.zeros(n, dtype=bool)
     row_objects: list[HeuristicRow | None] = [None] * n

@@ -275,6 +275,17 @@ class HeuristicCache:
             stacklevel=3,
         )
 
+    def peek(self, key: tuple) -> Heuristic | None:
+        """The resident entry for ``key``, or ``None``, without a lookup's effects.
+
+        Counts no hit, leaves the LRU order alone and never faults or builds:
+        it is for a builder that can reuse an entry when one happens to be
+        resident (a budget table reusing its destination's binary-P tree)
+        without changing what the counters or the eviction order report.
+        """
+        with self._lock:
+            return self._entries.get(key)
+
     def snapshot(self) -> dict[tuple, Heuristic]:
         """A point-in-time copy of the resident entries (used for persistence)."""
         with self._lock:
@@ -348,7 +359,18 @@ def _binary_factory(kind: str, settings: RouterSettings, cache: HeuristicCache |
 def _budget_factory(delta: float, settings: RouterSettings, cache: HeuristicCache | None = None):
     def factory(graph, destination: int) -> Heuristic:
         def build() -> Heuristic:
-            return BudgetSpecificHeuristic(graph, destination, settings.budget_config(delta))
+            # A resident binary-P heuristic for this destination holds the
+            # very Algorithm 2 tree the table would otherwise rebuild; reuse
+            # it.  Without one, build a private tree and insert nothing.
+            binary = None
+            if cache is not None:
+                pace_graph = graph.pace_graph if isinstance(graph, UpdatedPaceGraph) else graph
+                binary = cache.peek(
+                    ("binary", "P", pace_graph.content_fingerprint(), destination)
+                )
+            return BudgetSpecificHeuristic(
+                graph, destination, settings.budget_config(delta), binary=binary
+            )
 
         if cache is None:
             return build()

@@ -80,7 +80,7 @@ def _cap_joint(joint: JointDistribution, max_outcomes: int) -> JointDistribution
     if len(joint) <= max_outcomes:
         return joint
     ranked = sorted(joint.items(), key=lambda item: item[1], reverse=True)[:max_outcomes]
-    return JointDistribution(joint.edge_ids, dict(ranked), normalise=True)
+    return JointDistribution._trusted(joint.edge_ids, dict(ranked))
 
 
 def _combine(

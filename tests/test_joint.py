@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core._scalar_reference import assemble_reference
 from repro.core.distributions import Distribution
 from repro.core.errors import JointDistributionError
 from repro.core.joint import JointDistribution, assemble_sequence
+from repro.vpaths.updated_graph import UpdatedPaceGraph
 
 
 @pytest.fixture
@@ -208,3 +212,113 @@ def test_assembly_marginal_on_left_edges_is_preserved(joints):
     recovered = combined.marginal((1, 2))
     for costs, prob in left.items():
         assert recovered.probability_of(costs) == pytest.approx(prob, abs=1e-9)
+
+
+# --------------------------------------------------------------------------- #
+# The hash-join assembly against the nested-loop reference
+# --------------------------------------------------------------------------- #
+def _random_joint(rng: random.Random, edge_ids, size: int, alphabets) -> JointDistribution:
+    """Up to ``size`` distinct outcomes drawn from per-edge cost alphabets."""
+    capacity = 1
+    for alphabet in alphabets:
+        capacity *= len(alphabet)
+    outcomes: dict[tuple[float, ...], float] = {}
+    while len(outcomes) < min(size, capacity):
+        costs = tuple(rng.choice(alphabet) for alphabet in alphabets)
+        outcomes[costs] = rng.uniform(0.01, 1.0)
+    return JointDistribution(edge_ids, outcomes, normalise=True)
+
+
+def _assembly_case(
+    seed: int,
+    left_only: int,
+    width: int,
+    right_only: int,
+    left_size: int,
+    right_size: int,
+    shared_values: int,
+    layout: str,
+    overlap_mode: str,
+):
+    """Two joints sharing ``width`` edges, laid out for ``left ⋄ right``.
+
+    ``shared_values`` sizes the cost alphabet of the shared edges: small
+    alphabets make overlap outcomes collide, large ones leave left overlap
+    outcomes that the right joint lacks (and sometimes no common outcome at
+    all, which must raise).  ``layout="misaligned"`` breaks the
+    suffix/prefix rule, and ``overlap_mode`` passes an explicit overlap
+    joint (the left marginal, whose outcomes the right joint may lack).
+    """
+    rng = random.Random(seed)
+    free = [5.0, 7.5, 10.0, 12.5, 15.0, 20.0, 30.0, 45.0]
+    shared_alphabet = [float(v) for v in range(3, 3 + shared_values)]
+    shared = tuple(range(20, 20 + width))
+    left_edges = tuple(range(10, 10 + left_only)) + shared
+    right_edges = shared + tuple(range(30, 30 + right_only))
+    if layout == "misaligned" and width:
+        right_edges = (99,) + right_edges
+    left = _random_joint(
+        rng,
+        left_edges,
+        left_size,
+        [free] * left_only + [shared_alphabet] * width,
+    )
+    right = _random_joint(
+        rng,
+        right_edges,
+        right_size,
+        [free if e not in shared else shared_alphabet for e in right_edges],
+    )
+    overlap = left.marginal(shared) if overlap_mode == "left" and width else None
+    return left, right, overlap
+
+
+@st.composite
+def _assembly_cases(draw):
+    width = draw(st.integers(0, 2))
+    left_only = draw(st.integers(0 if width else 1, 3))
+    right_only = draw(st.integers(0 if width else 1, 3))
+    return _assembly_case(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        left_only=left_only,
+        width=width,
+        right_only=right_only,
+        left_size=draw(st.sampled_from([1, 2, 7, 40, 512])),
+        right_size=draw(st.sampled_from([1, 2, 7, 40, 512])),
+        shared_values=draw(st.integers(1, 6)),
+        layout=draw(st.sampled_from(["chain", "chain", "misaligned"])),
+        overlap_mode=draw(st.sampled_from(["default", "default", "left"])),
+    )
+
+
+def _assembled(left, right, overlap, assemble):
+    try:
+        return assemble(left, right, overlap=overlap)
+    except JointDistributionError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_assembly_cases())
+@example(_assembly_case(7, 3, 1, 3, 512, 512, 2, "chain", "default"))
+@example(_assembly_case(11, 2, 2, 2, 512, 512, 6, "chain", "default"))
+@example(_assembly_case(13, 2, 1, 1, 40, 40, 1, "chain", "left"))
+def test_assemble_matches_the_nested_loop_reference(case):
+    """Same outcomes, in the same order, with ``==`` floats — or the same refusal."""
+    left, right, overlap = case
+    produced = _assembled(left, right, overlap, JointDistribution.assemble)
+    expected = _assembled(left, right, overlap, assemble_reference)
+    assert (produced is None) == (expected is None)
+    if expected is not None:
+        assert produced.edge_ids == expected.edge_ids
+        assert list(produced.pmf.items()) == list(expected.pmf.items())
+
+
+def test_closure_with_the_reference_assembly_is_identical(
+    small_pace_graph, small_updated_graph, monkeypatch
+):
+    """The tiny city's V-path closure does not depend on how ``⋄`` is evaluated."""
+    assert small_updated_graph.num_vpaths > 0
+    monkeypatch.setattr(JointDistribution, "assemble", assemble_reference)
+    reference, _ = UpdatedPaceGraph.build(small_pace_graph)
+    assert reference.content_fingerprint() == small_updated_graph.content_fingerprint()

@@ -8,6 +8,7 @@ from repro.core.distributions import Distribution
 from repro.core.errors import GraphError
 from repro.core.joint import JointDistribution
 from repro.core.pace_graph import PaceGraph
+from repro.datasets.paper_example import build_paper_example
 
 
 class TestTpathManagement:
@@ -65,6 +66,56 @@ class TestTpathManagement:
         pace = paper_example.pace_graph
         incoming = pace.incoming_elements(paper_example.destination)
         assert {e.path.edges for e in incoming} >= {(8,), (10,), (6, 8), (3, 6, 8)}
+
+
+class TestEdgeElementMemo:
+    """One memoized element per edge, valid while it carries the current ``W(e)``."""
+
+    def test_edge_element_is_memoized(self):
+        pace = build_paper_example().pace_graph
+        assert pace.edge_element(10) is pace.edge_element(10)
+
+    def test_single_edge_tpath_refreshes_the_element(self):
+        example = build_paper_example()
+        pace = example.pace_graph
+        stale = pace.edge_element(10)
+        returned = pace.add_tpath(
+            example.network.path_from_edge_ids([10]), JointDistribution((10,), {(9.0,): 1.0})
+        )
+        assert returned is not stale
+        assert pace.edge_element(10) is returned
+        assert returned.distribution is pace.edge_weight(10)
+        assert returned.distribution.support == (9.0,)
+
+    def test_set_weight_refreshes_the_element(self):
+        pace = build_paper_example().pace_graph
+        stale = pace.edge_element(10)
+        pace.edge_graph.set_weight(10, Distribution.point(11.0))
+        fresh = pace.edge_element(10)
+        assert fresh is not stale
+        assert fresh.distribution.support == (11.0,)
+        assert any(
+            element.distribution.support == (11.0,)
+            for element in pace.outgoing_elements(fresh.source)
+            if element.path.edges == (10,)
+        )
+
+    def test_memo_does_not_enter_the_fingerprint(self):
+        expected = build_paper_example().pace_graph.content_fingerprint()
+        pace = build_paper_example().pace_graph
+        for vertex in pace.network.vertex_ids():
+            pace.outgoing_elements(vertex)
+            pace.incoming_elements(vertex)
+        assert pace.content_fingerprint() == expected
+
+    def test_element_lists_are_fresh(self, paper_example):
+        pace = paper_example.pace_graph
+        source = paper_example.source
+        assert pace.outgoing_elements(source) is not pace.outgoing_elements(source)
+        assert pace.incoming_elements(source) is not pace.incoming_elements(source)
+        extended = pace.outgoing_elements(source)
+        extended.append(extended[0])
+        assert len(pace.outgoing_elements(source)) == len(extended) - 1
 
 
 class TestCoarsestSequence:

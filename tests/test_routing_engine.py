@@ -140,6 +140,43 @@ class TestRoutingEngine:
         distinct_destinations = len({q.destination for q in queries})
         assert parallel_engine.heuristic_cache.misses == distinct_destinations
 
+    def test_budget_tables_reuse_the_resident_binary_tree(
+        self, paper_example, updated_example, monkeypatch
+    ):
+        # Algorithm 2 runs once per destination when binary-P is prewarmed
+        # first; the cache counters read exactly as if every table had built
+        # its own tree (the reuse is a peek: no hit, no miss, no insert).
+        import repro.heuristics.binary as binary_module
+
+        trees = []
+        original = binary_module.build_pace_shortest_path_tree
+
+        def counting(pace_graph, destination):
+            trees.append(destination)
+            return original(pace_graph, destination)
+
+        monkeypatch.setattr(binary_module, "build_pace_shortest_path_tree", counting)
+        destinations = sorted(paper_example.network.vertex_ids())[:3]
+        engine = _engine(paper_example, updated_example)
+        for method in ("T-B-P", "T-BS-60", "V-BS-60"):
+            engine.prewarm(method, destinations)
+        assert sorted(trees) == destinations
+        counters = engine.heuristic_cache.counters()
+        k = len(destinations)
+        assert (counters.entries, counters.hits, counters.misses) == (3 * k, 0, 3 * k)
+        config = engine.settings.budget_config(60.0)
+        for destination in destinations:
+            private = BudgetSpecificHeuristic(updated_example, destination, config)
+            shared = engine.router("V-BS-60").heuristic_for(destination)
+            assert shared.table.rows == private.table.rows
+
+    def test_budget_prewarm_alone_inserts_no_binary_entry(self, paper_example, updated_example):
+        engine = _engine(paper_example, updated_example)
+        engine.prewarm("T-BS-60", [VD])
+        keys = list(engine.heuristic_cache.snapshot())
+        assert [key[0] for key in keys] == ["budget"]
+        assert engine.heuristic_cache.counters().misses == 1
+
     def test_route_many_empty_batch(self, paper_example, updated_example):
         assert _engine(paper_example, updated_example).route_many([], method="T-B-P") == []
 
