@@ -11,7 +11,8 @@ import pytest
 
 from repro.evaluation.experiments import ExperimentReport
 from repro.evaluation.reporting import write_report
-from repro.routing.vpath_routing import VPathRouter, VPathRouterConfig
+from repro.routing.settings import RouterSettings
+from repro.routing.vpath_routing import VPathRouter
 
 DATASET_NAMES = ("aalborg-like", "xian-like")
 REGIME = "peak"
@@ -30,11 +31,11 @@ def test_ablation_dominance_pruning(benchmark, contexts, dataset):
                 updated,
                 None,
                 method_name="V-None",
-                config=VPathRouterConfig(
+                settings=RouterSettings(
                     max_support=context.scale.max_support,
                     max_explored=context.scale.max_explored,
-                    use_dominance=use_dominance,
                 ),
+                use_dominance=use_dominance,
             )
             results = [router.route(query) for query in queries]
             rows.append(

@@ -1,5 +1,5 @@
 """Routing in the classical edge-centric (EDGE) model."""
 
-from repro.edgemodel.routing import EdgeModelRouter, EdgeRouterConfig
+from repro.edgemodel.routing import EdgeModelRouter
 
-__all__ = ["EdgeModelRouter", "EdgeRouterConfig"]
+__all__ = ["EdgeModelRouter"]

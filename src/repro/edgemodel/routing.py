@@ -13,30 +13,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
 
 from repro.core.edge_graph import EdgeGraph
-from repro.core.errors import ConfigurationError
 from repro.network.algorithms import single_source_costs
 from repro.routing.dominance import DominancePruner
 from repro.routing.queries import RoutingQuery, RoutingResult
+from repro.routing.settings import RouterSettings
 
-__all__ = ["EdgeRouterConfig", "EdgeModelRouter"]
-
-
-@dataclass(frozen=True)
-class EdgeRouterConfig:
-    """Limits and knobs of the EDGE-model router."""
-
-    max_support: int = 64
-    max_explored: int = 100000
-    use_dominance: bool = True
-
-    def validate(self) -> None:
-        if self.max_support < 1:
-            raise ConfigurationError("max_support must be positive")
-        if self.max_explored < 1:
-            raise ConfigurationError("max_explored must be positive")
+__all__ = ["EdgeModelRouter"]
 
 
 class EdgeModelRouter:
@@ -44,10 +28,16 @@ class EdgeModelRouter:
 
     method_name = "EDGE"
 
-    def __init__(self, edge_graph: EdgeGraph, config: EdgeRouterConfig | None = None):
+    def __init__(
+        self,
+        edge_graph: EdgeGraph,
+        settings: RouterSettings | None = None,
+        *,
+        use_dominance: bool = True,
+    ):
         self._graph = edge_graph
-        self._config = config or EdgeRouterConfig()
-        self._config.validate()
+        self._settings = settings or RouterSettings()
+        self._use_dominance = use_dominance
         self._min_cost_cache: dict[int, dict[int, float]] = {}
 
     def _min_costs_to(self, destination: int) -> dict[int, float]:
@@ -67,7 +57,7 @@ class EdgeModelRouter:
         graph = self._graph
         budget = query.budget
         min_to_destination = self._min_costs_to(query.destination)
-        pruner = DominancePruner() if self._config.use_dominance else None
+        pruner = DominancePruner() if self._use_dominance else None
         candidate_ids = itertools.count()
         heap = []
         explored = 0
@@ -88,7 +78,7 @@ class EdgeModelRouter:
             push(element.path, element.distribution)
 
         best_path, best_prob, best_distribution = None, 0.0, None
-        while heap and explored < self._config.max_explored:
+        while heap and explored < self._settings.max_explored:
             negative_probability, candidate_id, path, distribution = heapq.heappop(heap)
             if pruner is not None and pruner.is_pruned(candidate_id):
                 continue
@@ -110,7 +100,7 @@ class EdgeModelRouter:
                     continue
                 new_path = path.concat(element.path)
                 new_distribution = distribution.convolve(
-                    element.distribution, max_support=self._config.max_support
+                    element.distribution, max_support=self._settings.max_support
                 )
                 push(new_path, new_distribution)
 

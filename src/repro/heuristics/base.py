@@ -52,17 +52,6 @@ class Heuristic(abc.ABC):
     def probability(self, vertex: int, remaining_budget: float) -> float:
         """``U(vertex, x)``: an upper bound on the probability of arriving within ``x``."""
 
-    def probability_batch(self, vertex: int, budgets) -> np.ndarray:
-        """``U(vertex, ·)`` for a whole array of residual budgets.
-
-        The default falls back to one :meth:`probability` call per budget;
-        the table- and step-function-backed heuristics override it with a
-        single vectorized lookup, which is what makes batched ``maxProb``
-        evaluation cheap.
-        """
-        budgets = np.asarray(budgets, dtype=float)
-        return np.array([self.probability(vertex, float(budget)) for budget in budgets])
-
     def min_cost_many(self, vertices) -> np.ndarray:
         """``getMin`` for a whole array of vertices.
 
@@ -75,11 +64,10 @@ class Heuristic(abc.ABC):
     def probability_many(self, vertices, budgets) -> np.ndarray:
         """``U(v_k, x_k)`` for paired arrays of vertices and residual budgets.
 
-        Unlike :meth:`probability_batch` (one vertex, many budgets) this
-        answers one lookup per (vertex, budget) *pair*, which is what the
-        segmented Eq. 3 kernel needs: the concatenated supports of many
-        candidate distributions, each paired with its candidate's end vertex.
-        The default loops; the concrete heuristics override it vectorized.
+        One lookup per (vertex, budget) *pair* is what the segmented Eq. 3
+        kernel needs: the concatenated supports of many candidate
+        distributions, each paired with its candidate's end vertex.  The
+        default loops; the concrete heuristics override it vectorized.
         """
         vertices = np.asarray(vertices)
         budgets = np.asarray(budgets, dtype=float)
@@ -115,10 +103,6 @@ class NoHeuristic(Heuristic):
 
     def probability(self, vertex: int, remaining_budget: float) -> float:
         return 1.0 if remaining_budget >= 0 else 0.0
-
-    def probability_batch(self, vertex: int, budgets) -> np.ndarray:
-        budgets = np.asarray(budgets, dtype=float)
-        return np.where(budgets >= 0, 1.0, 0.0)
 
     def min_cost_many(self, vertices) -> np.ndarray:
         return np.zeros(len(np.asarray(vertices)))

@@ -61,11 +61,6 @@ class BinaryHeuristic(Heuristic):
     def probability(self, vertex: int, remaining_budget: float) -> float:
         return 1.0 if remaining_budget >= self.min_cost(vertex) else 0.0
 
-    def probability_batch(self, vertex: int, budgets) -> np.ndarray:
-        """The 0/1 step at ``getMin(vertex)`` over a whole array of budgets."""
-        budgets = np.asarray(budgets, dtype=float)
-        return np.where(budgets >= self.min_cost(vertex), 1.0, 0.0)
-
     def min_cost_many(self, vertices) -> np.ndarray:
         """``getMin`` for an array of vertices via one sorted-array gather."""
         if self._sorted_ids is None:

@@ -597,14 +597,6 @@ class BudgetSpecificHeuristic(Heuristic):
         # keeps the heuristic admissible regardless of how the table itself was built.
         return self._table.value(vertex, remaining_budget, rounding="ceil")
 
-    def probability_batch(self, vertex: int, budgets) -> np.ndarray:
-        """Vectorized :meth:`probability` over an array of residual budgets."""
-        budgets = np.asarray(budgets, dtype=float)
-        if vertex == self.destination:
-            return np.where(budgets >= 0, 1.0, 0.0)
-        values = self._table.values_at(vertex, budgets, rounding="ceil")
-        return np.where(budgets < self.min_cost(vertex), 0.0, values)
-
     def min_cost_many(self, vertices) -> np.ndarray:
         return self._binary.min_cost_many(vertices)
 

@@ -10,9 +10,9 @@ collection of rows.
 Rows are backed by contiguous ``float64`` NumPy arrays rather than Python
 tuples: the Eq. 5 Bellman kernel in :mod:`repro.heuristics.budget` reads whole
 rows as dense vectors, online routing answers batched ``probability`` queries
-with one gather per distribution support (:meth:`HeuristicRow.values_at_columns`
-/ :meth:`HeuristicTable.values_at`), and ``storage_bytes`` accounts the actual
-8 bytes per stored cell instead of boxed-float sizes.
+with one gather per successor slice (:meth:`HeuristicTable.values_at_many`),
+and ``storage_bytes`` accounts the actual 8 bytes per stored cell instead of
+boxed-float sizes.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class HeuristicRow:
             raise HeuristicError("row values must be a one-dimensional sequence")
         array.setflags(write=False)
         object.__setattr__(self, "values", array)
-        object.__setattr__(self, "_padded", None)
         object.__setattr__(self, "_scalar_cells", None)
 
     def __eq__(self, other: object) -> bool:
@@ -105,20 +104,6 @@ class HeuristicRow:
         if offset < len(cells):
             return cells[offset]
         return 1.0
-
-    def values_at_columns(self, columns) -> np.ndarray:
-        """Vectorized :meth:`value_at_column` over an array of column indices."""
-        padded = self._padded
-        if padded is None:
-            # Stored cells followed by the implicit 1.0 tail: one clipped
-            # gather answers any batch of column lookups.  Built lazily —
-            # only query-time lookups need it, not the table builder.
-            padded = np.concatenate((self.values, [1.0]))
-            padded.setflags(write=False)
-            object.__setattr__(self, "_padded", padded)
-        offsets = np.asarray(columns, dtype=np.int64) - self.first_index
-        gathered = padded[np.clip(offsets, 0, self.values.size)]
-        return np.where(offsets < 0, 0.0, gathered)
 
     def dense(self, eta: int) -> np.ndarray:
         """The row as a dense vector over columns ``0..eta`` (0s, cells, 1s).
@@ -212,22 +197,6 @@ class HeuristicTable:
             column = self.eta
         return row.value_at_column(column)
 
-    def values_at(self, vertex: int, budgets, *, rounding: str = "ceil") -> np.ndarray:
-        """Vectorized :meth:`value` over an array of budgets (one vertex).
-
-        This is the batch entry point ``maxProb`` uses: one call answers
-        ``U(vertex, ·)`` for a whole distribution support instead of one
-        Python-level lookup per cost outcome.
-        """
-        budgets = np.asarray(budgets, dtype=float)
-        if vertex == self.destination:
-            return np.where(budgets >= 0, 1.0, 0.0)
-        row = self.rows.get(vertex)
-        if row is None:
-            return np.where(budgets > 0, 1.0, 0.0)
-        columns = np.minimum(columns_for_budgets(budgets, self.delta, rounding=rounding), self.eta)
-        return np.where(budgets > 0, row.values_at_columns(columns), 0.0)
-
     def _flat_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         flat = self._flat
         if flat is None:
@@ -241,7 +210,7 @@ class HeuristicTable:
                 sizes[position] = row.values.size
                 cells.append(row.values)
                 # Per-row sentinel: gathers past the stored cells read the
-                # implicit 1.0 tail, exactly like HeuristicRow's padded array.
+                # implicit 1.0 tail that follows every row's stored values.
                 cells.append(np.ones(1))
             starts = np.zeros(len(ids) + 1, dtype=np.int64)
             np.cumsum(sizes + 1, out=starts[1:])
@@ -253,10 +222,9 @@ class HeuristicTable:
     def values_at_many(self, vertices, budgets, *, rounding: str = "ceil") -> np.ndarray:
         """Vectorized :meth:`value` over paired (vertex, budget) arrays.
 
-        The segmented analogue of :meth:`values_at`: one call answers
-        ``U(v_k, x_k)`` for every pair, which is how the batched frontier
-        kernel prices the concatenated supports of a whole successor slice.
-        Bitwise identical to looping :meth:`values_at` per vertex.
+        One call answers ``U(v_k, x_k)`` for every pair, which is how the
+        batched frontier kernel prices the concatenated supports of a whole
+        successor slice.  Equal to :meth:`value` pair for pair.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         budgets = np.asarray(budgets, dtype=float)

@@ -33,7 +33,7 @@ from repro.routing.engine import (
     migrate_store,
 )
 from repro.routing.methods import MethodSpec
-from repro.routing.naive import NaivePaceRouter, NaiveRouterConfig
+from repro.routing.naive import NaivePaceRouter
 from repro.routing.queries import RoutingQuery, RoutingResult
 from repro.routing.service import (
     ERROR_CODES,
@@ -42,18 +42,15 @@ from repro.routing.service import (
     RouteResponse,
     RoutingService,
 )
-from repro.routing.tpath_routing import HeuristicPaceRouter, HeuristicRouterConfig
-from repro.routing.vpath_routing import VPathRouter, VPathRouterConfig
+from repro.routing.tpath_routing import HeuristicPaceRouter
+from repro.routing.vpath_routing import VPathRouter
 
 __all__ = [
     "RoutingQuery",
     "RoutingResult",
     "NaivePaceRouter",
-    "NaiveRouterConfig",
     "HeuristicPaceRouter",
-    "HeuristicRouterConfig",
     "VPathRouter",
-    "VPathRouterConfig",
     "DominancePruner",
     "MethodSpec",
     "create_router",

@@ -38,9 +38,9 @@ import threading
 import time
 import warnings
 from collections import Counter, OrderedDict
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.errors import ConfigurationError, DataError
 from repro.core.pace_graph import PaceGraph
@@ -50,7 +50,7 @@ from repro.heuristics.binary import (
     EuclideanBinaryHeuristic,
     PaceBinaryHeuristic,
 )
-from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
+from repro.heuristics.budget import BudgetSpecificHeuristic
 from repro.persistence.heuristics import HeuristicEntry, HeuristicSlot
 from repro.routing.accel import accelerator_for
 from repro.routing.backends import ExecutionBackend, SerialBackend
@@ -61,10 +61,11 @@ from repro.routing.residency import (
     heuristic_nbytes,
     normalise_prewarm,
 )
-from repro.routing.naive import NaivePaceRouter, NaiveRouterConfig
+from repro.routing.naive import NaivePaceRouter
 from repro.routing.queries import RoutingQuery, RoutingResult
-from repro.routing.tpath_routing import HeuristicPaceRouter, HeuristicRouterConfig
-from repro.routing.vpath_routing import VPathRouter, VPathRouterConfig
+from repro.routing.settings import RouterSettings
+from repro.routing.tpath_routing import HeuristicPaceRouter
+from repro.routing.vpath_routing import VPathRouter
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,65 +85,6 @@ __all__ = [
 ]
 
 
-#: ``manifest.settings`` keys of removed :class:`RouterSettings` options.
-#: Stores saved while ``expansion`` chose between the batched kernels and a
-#: scalar loop record it; the routers now have one search loop.
-_RETIRED_SETTINGS = frozenset({"expansion"})
-
-
-@dataclass(frozen=True)
-class RouterSettings:
-    """Cross-cutting knobs shared by every router built by :func:`create_router`.
-
-    ``heuristic_sweeps`` caps the Eq. 5 Bellman passes per budget table;
-    ``None`` runs the sweep to its fixpoint (converged tables — the default
-    for artifact builds, where the cost is paid once offline and the tables
-    are served forever).
-    """
-
-    max_support: int = 64
-    max_explored: int = 100000
-    max_budget: float = 5000.0
-    heuristic_sweeps: int | None = 2
-
-    @classmethod
-    def from_manifest(cls, settings: Mapping[str, Any]) -> RouterSettings:
-        """The settings an artifact store's manifest recorded.
-
-        Keys of retired options (stores saved before they were removed still
-        record them) are dropped; any other key this version does not know
-        is a :class:`DataError`.
-        """
-        current = {k: v for k, v in settings.items() if k not in _RETIRED_SETTINGS}
-        try:
-            return cls(**current)
-        except TypeError as exc:
-            raise DataError(
-                f"artifact manifest settings {sorted(settings)} do not match "
-                f"this version's RouterSettings: {exc}"
-            ) from exc
-
-    def naive(self) -> NaiveRouterConfig:
-        return NaiveRouterConfig(max_support=self.max_support, max_explored=self.max_explored)
-
-    def heuristic(self) -> HeuristicRouterConfig:
-        return HeuristicRouterConfig(max_support=self.max_support, max_explored=self.max_explored)
-
-    def vpath(self, *, use_dominance: bool = True) -> VPathRouterConfig:
-        return VPathRouterConfig(
-            max_support=self.max_support,
-            max_explored=self.max_explored,
-            use_dominance=use_dominance,
-        )
-
-    def budget_config(self, delta: float) -> BudgetHeuristicConfig:
-        return BudgetHeuristicConfig(
-            delta=delta,
-            max_budget=max(self.max_budget, delta),
-            sweeps=self.heuristic_sweeps,
-        )
-
-
 class HeuristicCache:
     """Two-tier destination-keyed cache of heuristic instances.
 
@@ -154,7 +96,8 @@ class HeuristicCache:
     so different heuristic families and graphs never collide — and because
     the fingerprint depends only on graph *content*, keys are meaningful
     across engines and across processes, not just for one object graph.  It
-    is thread-safe so a worker pool can share it.
+    is thread-safe so a worker pool can share it, and it is the only holder
+    of heuristics: routers keep none and look theirs up here on every query.
 
     The *resident* tier is this in-memory map, optionally bounded to
     ``cache_bytes`` (:func:`~repro.routing.residency.heuristic_nbytes` per
@@ -336,7 +279,7 @@ class HeuristicCache:
         return built
 
 
-def _binary_factory(kind: str, settings: RouterSettings, cache: HeuristicCache | None = None):
+def _binary_factory(kind: str, cache: HeuristicCache):
     def factory(graph, destination: int) -> Heuristic:
         pace_graph = graph.pace_graph if isinstance(graph, UpdatedPaceGraph) else graph
 
@@ -347,8 +290,6 @@ def _binary_factory(kind: str, settings: RouterSettings, cache: HeuristicCache |
                 return EdgeOnlyBinaryHeuristic(pace_graph, destination)
             return PaceBinaryHeuristic(pace_graph, destination)
 
-        if cache is None:
-            return build()
         return cache.get_or_build(
             ("binary", kind, pace_graph.content_fingerprint(), destination), build
         )
@@ -356,24 +297,18 @@ def _binary_factory(kind: str, settings: RouterSettings, cache: HeuristicCache |
     return factory
 
 
-def _budget_factory(delta: float, settings: RouterSettings, cache: HeuristicCache | None = None):
+def _budget_factory(delta: float, settings: RouterSettings, cache: HeuristicCache):
     def factory(graph, destination: int) -> Heuristic:
         def build() -> Heuristic:
             # A resident binary-P heuristic for this destination holds the
             # very Algorithm 2 tree the table would otherwise rebuild; reuse
             # it.  Without one, build a private tree and insert nothing.
-            binary = None
-            if cache is not None:
-                pace_graph = graph.pace_graph if isinstance(graph, UpdatedPaceGraph) else graph
-                binary = cache.peek(
-                    ("binary", "P", pace_graph.content_fingerprint(), destination)
-                )
+            pace_graph = graph.pace_graph if isinstance(graph, UpdatedPaceGraph) else graph
+            binary = cache.peek(("binary", "P", pace_graph.content_fingerprint(), destination))
             return BudgetSpecificHeuristic(
                 graph, destination, settings.budget_config(delta), binary=binary
             )
 
-        if cache is None:
-            return build()
         # Budget tables depend on the graph the router searches (plain vs V-path
         # closure), so the graph's content fingerprint is part of the key.
         return cache.get_or_build(
@@ -394,49 +329,38 @@ def create_router(
     """Build the router implementing ``method`` (a name or a :class:`MethodSpec`).
 
     ``updated_graph`` (the V-path closure of ``pace_graph``) is required for
-    the V-graph methods and ignored otherwise.  ``heuristic_cache`` optionally
-    shares destination-keyed heuristics across routers; entries are keyed by
+    the V-graph methods and ignored otherwise.  ``heuristic_cache`` holds the
+    destination-keyed heuristics the router looks up on every query; without
+    one the router gets a private unbounded cache.  Entries are keyed by
     graph content fingerprint, so a cache may even be shared across engines
     over equal graphs (a :class:`RoutingEngine` manages one automatically).
     """
     spec = MethodSpec.coerce(method)
     settings = settings or RouterSettings()
+    cache = heuristic_cache if heuristic_cache is not None else HeuristicCache()
     name = spec.canonical_name
-    # A byte-budgeted shared cache must stay the *only* owner of heuristic
-    # references — router-level pinning would keep evicted tables alive (and
-    # invisible to the resident-bytes accounting), so bounded caches disable
-    # it and every lookup goes through the cache's LRU.
-    pin = heuristic_cache is None or heuristic_cache.cache_bytes is None
+    if spec.heuristic == "none":
+        factory = None
+    elif spec.heuristic == "budget":
+        factory = _budget_factory(spec.delta, settings, cache)
+    else:
+        factory = _binary_factory(spec.binary_kind, cache)
     if spec.graph == "pace":
-        if spec.heuristic == "none":
-            return NaivePaceRouter(pace_graph, settings.naive())
-        if spec.heuristic == "budget":
-            factory = _budget_factory(spec.delta, settings, heuristic_cache)
-        else:
-            factory = _binary_factory(spec.binary_kind, settings, heuristic_cache)
-        return HeuristicPaceRouter(
-            pace_graph, factory, method_name=name, config=settings.heuristic(), pin_heuristics=pin
-        )
-
+        if factory is None:
+            return NaivePaceRouter(pace_graph, settings)
+        return HeuristicPaceRouter(pace_graph, factory, method_name=name, settings=settings)
     if updated_graph is None:
         raise ConfigurationError(f"method {name!r} needs the updated PACE graph (V-paths)")
-    if spec.heuristic == "none":
-        return VPathRouter(updated_graph, None, method_name=name, config=settings.vpath())
-    if spec.heuristic == "budget":
-        factory = _budget_factory(spec.delta, settings, heuristic_cache)
-    else:
-        factory = _binary_factory(spec.binary_kind, settings, heuristic_cache)
-    return VPathRouter(
-        updated_graph, factory, method_name=name, config=settings.vpath(), pin_heuristics=pin
-    )
+    return VPathRouter(updated_graph, factory, method_name=name, settings=settings)
 
 
 @dataclass(frozen=True)
 class EngineStats:
     """A point-in-time snapshot of a :class:`RoutingEngine`'s serving counters.
 
-    ``cache_hits`` / ``cache_misses`` count heuristic-cache lookups (a miss
-    triggers a build whose wall-clock cost accumulates into
+    ``cache_hits`` / ``cache_misses`` count heuristic-cache lookups — one per
+    guided query and one per prewarmed destination, whatever the residency
+    mode (a miss triggers a build whose wall-clock cost accumulates into
     ``heuristic_build_seconds``; entries loaded from an artifact store count as
     neither).  ``queries_by_method`` counts queries accepted through
     :meth:`RoutingEngine.route` / :meth:`RoutingEngine.route_many` per
@@ -841,7 +765,7 @@ class RoutingEngine:
         build_provenance = {
             "builder": "RoutingEngine.save_artifacts",
             "heuristic_entries": len(entries),
-            "heuristic_build_seconds": round(self._cache.build_seconds, 6),
+            "heuristic_build_seconds": round(self._cache.counters().build_seconds, 6),
             "heuristic_sweeps": self._settings.heuristic_sweeps,
             # A shallow origin record; "build" (the previous manifest's
             # provenance) is dropped so repeated re-saves don't nest forever.

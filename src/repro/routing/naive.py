@@ -14,27 +14,12 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 
-from repro.core.errors import ConfigurationError
 from repro.core.pace_graph import PaceGraph
 from repro.routing.queries import RoutingQuery, RoutingResult
+from repro.routing.settings import RouterSettings
 
-__all__ = ["NaiveRouterConfig", "NaivePaceRouter"]
-
-
-@dataclass(frozen=True)
-class NaiveRouterConfig:
-    """Safety limits for the exhaustive baseline search."""
-
-    max_support: int = 64
-    max_explored: int = 100000
-
-    def validate(self) -> None:
-        if self.max_support < 1:
-            raise ConfigurationError("max_support must be positive")
-        if self.max_explored < 1:
-            raise ConfigurationError("max_explored must be positive")
+__all__ = ["NaivePaceRouter"]
 
 
 class NaivePaceRouter:
@@ -42,10 +27,9 @@ class NaivePaceRouter:
 
     method_name = "T-None"
 
-    def __init__(self, pace_graph: PaceGraph, config: NaiveRouterConfig | None = None):
+    def __init__(self, pace_graph: PaceGraph, settings: RouterSettings | None = None):
         self._graph = pace_graph
-        self._config = config or NaiveRouterConfig()
-        self._config.validate()
+        self._settings = settings or RouterSettings()
 
     def route(self, query: RoutingQuery) -> RoutingResult:
         """Evaluate one arriving-on-time query."""
@@ -69,7 +53,7 @@ class NaivePaceRouter:
             counter += 1
             heapq.heappush(heap, (distribution.expectation(), counter, (path, distribution)))
 
-        while heap and explored < self._config.max_explored:
+        while heap and explored < self._settings.max_explored:
             _, _, (path, distribution) = heapq.heappop(heap)
             explored += 1
             if path.target == query.destination:
@@ -86,7 +70,7 @@ class NaivePaceRouter:
                 if graph.path_min_cost(new_path) > budget:
                     continue
                 new_distribution = graph.path_cost_distribution(
-                    new_path, max_support=self._config.max_support
+                    new_path, max_support=self._settings.max_support
                 )
                 if new_distribution.min() > budget:
                     continue

@@ -28,32 +28,18 @@ from __future__ import annotations
 import heapq
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from repro.core.distributions import Distribution
-from repro.core.errors import ConfigurationError
 from repro.core.pace_graph import PaceGraph
 from repro.core.paths import Path
 from repro.heuristics.base import Heuristic
 from repro.routing.accel import TCandidate, TExpansionKernel, accelerator_for
 from repro.routing.queries import RoutingQuery, RoutingResult
+from repro.routing.settings import RouterSettings
 
-__all__ = ["HeuristicRouterConfig", "HeuristicPaceRouter"]
+__all__ = ["HeuristicPaceRouter"]
 
 HeuristicFactory = Callable[[PaceGraph, int], Heuristic]
-
-@dataclass(frozen=True)
-class HeuristicRouterConfig:
-    """Limits and knobs of the heuristic-guided PACE router."""
-
-    max_support: int = 64
-    max_explored: int = 100000
-
-    def validate(self) -> None:
-        if self.max_support < 1:
-            raise ConfigurationError("max_support must be positive")
-        if self.max_explored < 1:
-            raise ConfigurationError("max_explored must be positive")
 
 
 class HeuristicPaceRouter:
@@ -65,37 +51,23 @@ class HeuristicPaceRouter:
         heuristic_factory: HeuristicFactory,
         *,
         method_name: str,
-        config: HeuristicRouterConfig | None = None,
-        pin_heuristics: bool = True,
+        settings: RouterSettings | None = None,
     ):
         self._graph = pace_graph
         self._factory = heuristic_factory
         self.method_name = method_name
-        self._config = config or HeuristicRouterConfig()
-        self._config.validate()
-        self._pin_heuristics = pin_heuristics
-        self._heuristics: dict[int, Heuristic] = {}
+        self._settings = settings or RouterSettings()
 
-    # ------------------------------------------------------------------ #
-    # Heuristic management
-    # ------------------------------------------------------------------ #
     def heuristic_for(self, destination: int) -> Heuristic:
-        """The (cached) destination-specific heuristic.
+        """The destination-specific heuristic, from the factory on every call.
 
-        Heuristics are destination-specific pre-computations (Section 3); the
-        router keeps one per destination so repeated queries to the same
-        destination — the scenario the paper's offline/online split targets —
-        do not pay the construction cost again.  With
-        ``pin_heuristics=False`` the router holds no references of its own
-        and consults the factory every time — the mode a byte-budgeted
-        engine cache uses, so an evicted table's memory is actually
-        reclaimed instead of staying pinned here.
+        The router holds no heuristics of its own.  Reuse across queries to
+        the same destination — the scenario the paper's offline/online split
+        targets — is the factory's job: the ones
+        :func:`~repro.routing.engine.create_router` builds look the heuristic
+        up in a :class:`~repro.routing.engine.HeuristicCache`.
         """
-        if not self._pin_heuristics:
-            return self._factory(self._graph, destination)
-        if destination not in self._heuristics:
-            self._heuristics[destination] = self._factory(self._graph, destination)
-        return self._heuristics[destination]
+        return self._factory(self._graph, destination)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -124,7 +96,7 @@ class HeuristicPaceRouter:
             accelerator_for(self._graph),
             heuristic,
             budget,
-            max_support=self._config.max_support,
+            max_support=self._settings.max_support,
         )
         explored = 0
         counter = 0
@@ -133,7 +105,7 @@ class HeuristicPaceRouter:
             counter += 1
             heapq.heappush(heap, (-priority, counter, candidate))
 
-        while heap and explored < self._config.max_explored:
+        while heap and explored < self._settings.max_explored:
             _, _, candidate = heapq.heappop(heap)
             explored += 1
             if candidate.path.target == query.destination:

@@ -38,35 +38,19 @@ import heapq
 import itertools
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from repro.core.distributions import Distribution
-from repro.core.errors import ConfigurationError
 from repro.core.paths import Path
 from repro.heuristics.base import Heuristic, NoHeuristic
 from repro.routing.accel import VExpansionKernel, accelerator_for
 from repro.routing.dominance import DominancePruner
 from repro.routing.queries import RoutingQuery, RoutingResult
+from repro.routing.settings import RouterSettings
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
-__all__ = ["VPathRouterConfig", "VPathRouter"]
+__all__ = ["VPathRouter"]
 
 VPathHeuristicFactory = Callable[[UpdatedPaceGraph, int], Heuristic]
-
-
-@dataclass(frozen=True)
-class VPathRouterConfig:
-    """Limits and knobs of the V-path router."""
-
-    max_support: int = 64
-    max_explored: int = 100000
-    use_dominance: bool = True
-
-    def validate(self) -> None:
-        if self.max_support < 1:
-            raise ConfigurationError("max_support must be positive")
-        if self.max_explored < 1:
-            raise ConfigurationError("max_explored must be positive")
 
 
 class VPathRouter:
@@ -78,38 +62,26 @@ class VPathRouter:
         heuristic_factory: VPathHeuristicFactory | None = None,
         *,
         method_name: str | None = None,
-        config: VPathRouterConfig | None = None,
-        pin_heuristics: bool = True,
+        settings: RouterSettings | None = None,
+        use_dominance: bool = True,
     ):
         self._graph = graph
         self._factory = heuristic_factory
         self.method_name = method_name or ("V-None" if heuristic_factory is None else "V-heuristic")
-        self._config = config or VPathRouterConfig()
-        self._config.validate()
-        self._pin_heuristics = pin_heuristics
-        self._heuristics: dict[int, Heuristic] = {}
+        self._settings = settings or RouterSettings()
+        self._use_dominance = use_dominance
 
-    # ------------------------------------------------------------------ #
-    # Heuristic management
-    # ------------------------------------------------------------------ #
     def heuristic_for(self, destination: int) -> Heuristic:
-        """The cached destination-specific heuristic (trivial for V-None).
+        """The destination-specific heuristic, from the factory on every call.
 
-        With ``pin_heuristics=False`` a guided router holds no references of
-        its own and consults the factory every time — the mode a
-        byte-budgeted engine cache uses, so an evicted table's memory is
-        actually reclaimed instead of staying pinned here.  V-None's trivial
-        heuristics are always pinned; they hold no tables.
+        The router holds no heuristics of its own (see
+        :meth:`HeuristicPaceRouter.heuristic_for
+        <repro.routing.tpath_routing.HeuristicPaceRouter.heuristic_for>`);
+        V-None gets a fresh trivial :class:`NoHeuristic`, which holds no table.
         """
         if self._factory is None:
-            if destination not in self._heuristics:
-                self._heuristics[destination] = NoHeuristic(destination)
-            return self._heuristics[destination]
-        if not self._pin_heuristics:
-            return self._factory(self._graph, destination)
-        if destination not in self._heuristics:
-            self._heuristics[destination] = self._factory(self._graph, destination)
-        return self._heuristics[destination]
+            return NoHeuristic(destination)
+        return self._factory(self._graph, destination)
 
     @property
     def guided(self) -> bool:
@@ -125,7 +97,7 @@ class VPathRouter:
         graph = self._graph
         budget = query.budget
         heuristic = self.heuristic_for(query.destination)
-        pruner = DominancePruner() if self._config.use_dominance else None
+        pruner = DominancePruner() if self._use_dominance else None
         candidate_ids = itertools.count()
         explored = 0
         heap: list[tuple[float, int, Path, Distribution]] = []
@@ -134,7 +106,7 @@ class VPathRouter:
             accelerator_for(graph),
             heuristic,
             budget,
-            max_support=self._config.max_support,
+            max_support=self._settings.max_support,
             guided=self.guided,
         )
 
@@ -150,7 +122,7 @@ class VPathRouter:
         best_path = None
         best_prob = 0.0
         best_distribution = None
-        while heap and explored < self._config.max_explored:
+        while heap and explored < self._settings.max_explored:
             _, candidate_id, path, distribution = heapq.heappop(heap)
             if pruner is not None and pruner.is_pruned(candidate_id):
                 continue
@@ -168,7 +140,7 @@ class VPathRouter:
 
         if best_path is not None:
             best_distribution = graph.pace_graph.path_cost_distribution(
-                best_path, max_support=self._config.max_support
+                best_path, max_support=self._settings.max_support
             )
             best_prob = best_distribution.prob_at_most(budget)
 

@@ -257,6 +257,17 @@ class TestRejection:
         with pytest.raises(DataError, match="RouterSettings"):
             RoutingEngine.from_artifacts(broken)
 
+    @pytest.mark.parametrize("limit", ["max_support", "max_explored"])
+    def test_invalid_recorded_limit_is_a_data_error(self, store_root, tmp_path, limit):
+        broken = self._copy_store(store_root, tmp_path / limit)
+        payload = json.loads((broken / MANIFEST_NAME).read_text())
+        payload["settings"][limit] = 0
+        (broken / MANIFEST_NAME).write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=limit):
+            RoutingEngine.from_artifacts(broken)
+        with pytest.raises(DataError, match="RouterSettings"):
+            RouterSettings.from_manifest(payload["settings"])
+
     def test_retired_expansion_setting_still_boots(self, mined, store_root, tmp_path):
         """Stores saved while ``expansion`` was an option record it; they boot unchanged."""
         engine, queries = mined

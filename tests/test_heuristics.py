@@ -30,6 +30,16 @@ from repro.heuristics.sptree import build_pace_shortest_path_tree
 from repro.heuristics.tables import HeuristicRow, HeuristicTable
 
 
+def _shuffled_pairs(vertices, budgets) -> tuple[np.ndarray, np.ndarray]:
+    """Every (vertex, budget) pair, in a fixed shuffled order."""
+    grid_vertices, grid_budgets = np.meshgrid(vertices, budgets, indexing="ij")
+    order = np.random.default_rng(7).permutation(grid_vertices.size)
+    return (
+        grid_vertices.ravel()[order].astype(np.int64),
+        grid_budgets.ravel()[order].astype(float),
+    )
+
+
 # --------------------------------------------------------------------------- #
 # Budget heuristic configuration (eta grid sizing)
 # --------------------------------------------------------------------------- #
@@ -259,8 +269,10 @@ class TestTables:
 
     def test_row_vectorized_column_lookup_matches_scalar(self):
         row = HeuristicRow(first_index=3, values=(0.2, 0.7))
+        table = HeuristicTable(destination=0, delta=10.0, eta=8)
+        table.set_row(1, row)
         columns = np.arange(0, 9)
-        batch = row.values_at_columns(columns)
+        batch = table.values_at_many(np.ones(len(columns), dtype=np.int64), columns * 10.0)
         assert batch.tolist() == [row.value_at_column(int(c)) for c in columns]
 
     def test_row_dense_expansion(self):
@@ -269,16 +281,20 @@ class TestTables:
         # first_index beyond eta: all zeros.
         assert HeuristicRow(first_index=9, values=()).dense(4).tolist() == [0.0] * 5
 
-    def test_table_vectorized_value_lookup_matches_scalar(self):
+    def test_table_values_at_many_matches_scalar(self):
         table = HeuristicTable(destination=0, delta=10.0, eta=5)
         table.set_row(1, HeuristicRow(first_index=2, values=(0.4, 0.8)))
+        table.set_row(2, HeuristicRow(first_index=4, values=(0.5,)))
         budgets = [-5.0, 0.0, 3.0, 10.0, 15.0, 20.0, 25.0, 49.0, 50.0, 1000.0]
+        # The destination, two stored rows and an unknown vertex, every pair
+        # in one shuffled call so each answer must follow its own pair.
+        vertices, pair_budgets = _shuffled_pairs([0, 1, 2, 42], budgets)
         for rounding in ("ceil", "floor"):
-            batch = table.values_at(1, budgets, rounding=rounding)
-            assert batch.tolist() == [table.value(1, b, rounding=rounding) for b in budgets]
-        # Destination and unknown-vertex fallbacks.
-        assert table.values_at(0, budgets).tolist() == [table.value(0, b) for b in budgets]
-        assert table.values_at(42, budgets).tolist() == [table.value(42, b) for b in budgets]
+            batch = table.values_at_many(vertices, pair_budgets, rounding=rounding)
+            assert batch.tolist() == [
+                table.value(int(v), float(b), rounding=rounding)
+                for v, b in zip(vertices, pair_budgets)
+            ]
 
 
 # --------------------------------------------------------------------------- #
@@ -400,22 +416,29 @@ class TestBudgetSpecific:
             for budget in range(0, 39, 3):
                 assert table.value(vertex, budget) == pytest.approx(fixed.value(vertex, budget))
 
-    def test_probability_batch_matches_scalar(self, paper_example):
+    @pytest.mark.parametrize("grid_rounding", ["ceil", "floor"])
+    def test_probability_many_matches_scalar(self, paper_example, grid_rounding):
         heuristic = BudgetSpecificHeuristic(
-            paper_example.pace_graph, VD, BudgetHeuristicConfig(delta=3, max_budget=36)
+            paper_example.pace_graph,
+            VD,
+            BudgetHeuristicConfig(delta=3, max_budget=36, grid_rounding=grid_rounding),
         )
-        budgets = np.array([-3.0, 0.0, 1.0, 3.0, 14.5, 18.0, 36.0, 50.0])
-        for vertex in [*range(8), VD]:
-            batch = heuristic.probability_batch(vertex, budgets)
-            expected = [heuristic.probability(vertex, float(b)) for b in budgets]
-            assert batch.tolist() == expected
+        budgets = [-3.0, 0.0, 1.0, 3.0, 14.5, 18.0, 36.0, 50.0]
+        # Every vertex (the destination included) plus an unknown one.
+        vertices, pair_budgets = _shuffled_pairs([*range(8), VD, 42], budgets)
+        batch = heuristic.probability_many(vertices, pair_budgets)
+        assert batch.tolist() == [
+            heuristic.probability(int(v), float(b)) for v, b in zip(vertices, pair_budgets)
+        ]
 
-    def test_binary_probability_batch_matches_scalar(self, paper_example):
+    def test_binary_probability_many_matches_scalar(self, paper_example):
         heuristic = PaceBinaryHeuristic(paper_example.pace_graph, VD)
-        budgets = np.array([-1.0, 0.0, 18.9, 19.0, 100.0])
-        for vertex in range(8):
-            batch = heuristic.probability_batch(vertex, budgets)
-            assert batch.tolist() == [heuristic.probability(vertex, float(b)) for b in budgets]
+        budgets = [-1.0, 0.0, 18.9, 19.0, 100.0]
+        vertices, pair_budgets = _shuffled_pairs([*range(8), VD, 42], budgets)
+        batch = heuristic.probability_many(vertices, pair_budgets)
+        assert batch.tolist() == [
+            heuristic.probability(int(v), float(b)) for v, b in zip(vertices, pair_budgets)
+        ]
 
     def test_max_prob_vectorized_path_matches_loop(self, paper_example):
         """Supports above the batch threshold take the vectorized maxProb path."""

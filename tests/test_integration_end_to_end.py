@@ -7,7 +7,7 @@ import pytest
 from repro.evaluation.workloads import WorkloadConfig, generate_workload
 from repro.heuristics import PaceBinaryHeuristic
 from repro.routing import RouterSettings, RoutingQuery, create_router
-from repro.routing.naive import NaivePaceRouter, NaiveRouterConfig
+from repro.routing.naive import NaivePaceRouter
 from repro.trajectories import GpsSimulatorConfig, HmmMapMatcher, MapMatcherConfig, simulate_gps_trace
 from repro.tpaths import TPathMinerConfig, build_pace_graph
 from repro.vpaths import UpdatedPaceGraph
@@ -23,7 +23,7 @@ class TestEndToEnd:
             WorkloadConfig(pairs_per_bucket=1, budget_fractions=(1.0,), seed=3),
         )
         settings = RouterSettings(max_budget=3000.0, max_explored=50000)
-        baseline = NaivePaceRouter(small_pace_graph, NaiveRouterConfig(max_explored=50000))
+        baseline = NaivePaceRouter(small_pace_graph, RouterSettings(max_explored=50000))
         methods = ("T-B-EU", "T-B-E", "T-B-P", "T-BS-60", "V-BS-60")
         for workload_query in workload.queries[:3]:
             query = workload_query.query

@@ -23,9 +23,10 @@ from repro.heuristics.base import max_prob
 from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
 from repro.network.road_network import RoadNetwork
-from repro.routing.naive import NaivePaceRouter, NaiveRouterConfig
+from repro.routing.naive import NaivePaceRouter
 from repro.routing.queries import RoutingQuery
-from repro.routing.vpath_routing import VPathRouter, VPathRouterConfig
+from repro.routing.settings import RouterSettings
+from repro.routing.vpath_routing import VPathRouter
 from repro.tpaths.extraction import TPathMinerConfig, build_pace_graph
 from repro.trajectories.model import Trajectory
 from repro.vpaths.updated_graph import UpdatedPaceGraph
@@ -89,7 +90,7 @@ def test_binary_heuristic_is_admissible_on_random_graphs(seed):
     """getMin never exceeds the minimum cost of any concrete path to the destination."""
     pace, _, source, destination = _random_instance(seed)
     heuristic = PaceBinaryHeuristic(pace, destination)
-    baseline = NaivePaceRouter(pace, NaiveRouterConfig(max_explored=4000))
+    baseline = NaivePaceRouter(pace, RouterSettings(max_explored=4000))
     result = baseline.route(RoutingQuery(source, destination, budget=10_000.0))
     if result.found:
         assert heuristic.min_cost(source) <= result.distribution.min() + 1e-9
@@ -114,7 +115,7 @@ def test_budget_heuristic_upper_bounds_every_candidate_path(seed):
     heuristic = BudgetSpecificHeuristic(
         pace, destination, BudgetHeuristicConfig(delta=15, max_budget=600)
     )
-    baseline = NaivePaceRouter(pace, NaiveRouterConfig(max_explored=4000))
+    baseline = NaivePaceRouter(pace, RouterSettings(max_explored=4000))
     for budget in (60.0, 90.0, 120.0):
         result = baseline.route(RoutingQuery(source, destination, budget=budget))
         if not result.found:
@@ -132,7 +133,7 @@ def test_budget_heuristic_upper_bounds_every_candidate_path(seed):
 def test_probability_is_monotone_in_budget(seed):
     """A larger budget can never decrease the best arriving-on-time probability."""
     pace, updated, source, destination = _random_instance(seed)
-    router = VPathRouter(updated, None, config=VPathRouterConfig(max_explored=4000))
+    router = VPathRouter(updated, None, settings=RouterSettings(max_explored=4000))
     probabilities = [
         router.route(RoutingQuery(source, destination, budget=budget)).probability
         for budget in (60.0, 90.0, 120.0, 200.0)
@@ -147,10 +148,10 @@ def test_dominance_pruning_never_hurts_result_quality(seed):
     _, updated, source, destination = _random_instance(seed)
     query = RoutingQuery(source, destination, budget=120.0)
     with_pruning = VPathRouter(
-        updated, None, config=VPathRouterConfig(max_explored=4000, use_dominance=True)
+        updated, None, settings=RouterSettings(max_explored=4000), use_dominance=True
     ).route(query)
     without_pruning = VPathRouter(
-        updated, None, config=VPathRouterConfig(max_explored=4000, use_dominance=False)
+        updated, None, settings=RouterSettings(max_explored=4000), use_dominance=False
     ).route(query)
     assert with_pruning.probability == pytest.approx(without_pruning.probability, abs=1e-6)
 

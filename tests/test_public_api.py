@@ -202,21 +202,39 @@ class TestPublicApi:
         assert spellers == {"persistence/legacy.py"}
 
     def test_one_search_loop_and_one_table_builder(self):
-        """No option selects a second router search loop or Bellman working memory."""
+        """No option selects a second router search loop or Bellman working memory.
+
+        Routers read one settings object and hold no heuristics: the
+        per-router config classes and the ``pin_heuristics`` switch are gone.
+        """
+        from repro import edgemodel, routing
         from repro.heuristics import budget
         from repro.persistence import store
         from repro.routing.engine import RouterSettings
-        from repro.routing.tpath_routing import HeuristicRouterConfig
-        from repro.routing.vpath_routing import VPathRouterConfig
 
-        for settings_class, field_count in (
-            (RouterSettings, 4),
-            (HeuristicRouterConfig, 2),
-            (VPathRouterConfig, 3),
+        names = {field.name for field in dataclasses.fields(RouterSettings)}
+        assert not names & {"expansion", "reevaluate_with_pace"}
+        assert len(names) == 4, names
+        configs = ("NaiveRouterConfig", "HeuristicRouterConfig", "VPathRouterConfig")
+        for module, removed in (
+            (routing, configs),
+            (routing.naive, configs[:1]),
+            (routing.tpath_routing, configs[1:2]),
+            (routing.vpath_routing, configs[2:]),
+            (edgemodel, ("EdgeRouterConfig",)),
+            (edgemodel.routing, ("EdgeRouterConfig",)),
         ):
-            names = {field.name for field in dataclasses.fields(settings_class)}
-            assert not names & {"expansion", "reevaluate_with_pace"}, settings_class
-            assert len(names) == field_count, (settings_class, names)
+            for name in removed:
+                assert not hasattr(module, name), (module.__name__, name)
+        for router in (
+            routing.NaivePaceRouter,
+            routing.HeuristicPaceRouter,
+            routing.VPathRouter,
+            edgemodel.EdgeModelRouter,
+        ):
+            parameters = inspect.signature(router).parameters
+            assert "settings" in parameters, router
+            assert not {"config", "pin_heuristics"} & set(parameters), router
         assert "mirror" not in inspect.signature(budget.build_heuristic_table).parameters
         for module, name in (
             (budget, "_DenseMirror"),

@@ -7,15 +7,15 @@ import pytest
 from repro.core.distributions import Distribution
 from repro.core.errors import ConfigurationError
 from repro.datasets.paper_example import V1, V4, VD, VS
-from repro.edgemodel.routing import EdgeModelRouter, EdgeRouterConfig
+from repro.edgemodel.routing import EdgeModelRouter
 from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.network.algorithms import shortest_path
 from repro.routing.dominance import DominancePruner
 from repro.routing.engine import METHOD_NAMES, RouterSettings, create_router
-from repro.routing.naive import NaivePaceRouter, NaiveRouterConfig
+from repro.routing.naive import NaivePaceRouter
 from repro.routing.queries import RoutingQuery, RoutingResult
-from repro.routing.tpath_routing import HeuristicPaceRouter, HeuristicRouterConfig
-from repro.routing.vpath_routing import VPathRouter, VPathRouterConfig
+from repro.routing.tpath_routing import HeuristicPaceRouter
+from repro.routing.vpath_routing import VPathRouter
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
 
@@ -189,15 +189,16 @@ class TestNaiveRouter:
         assert naive.route(query).explored > guided.route(query).explored
 
     def test_max_explored_cap(self, paper_example):
-        router = NaivePaceRouter(paper_example.pace_graph, NaiveRouterConfig(max_explored=2))
+        router = NaivePaceRouter(paper_example.pace_graph, RouterSettings(max_explored=2))
         result = router.route(RoutingQuery(VS, VD, budget=30))
         assert result.explored <= 2
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            NaiveRouterConfig(max_support=0).validate()
-        with pytest.raises(ConfigurationError):
-            NaiveRouterConfig(max_explored=0).validate()
+        with pytest.raises(ConfigurationError, match="max_support"):
+            RouterSettings(max_support=0)
+        with pytest.raises(ConfigurationError, match="max_explored"):
+            RouterSettings(max_explored=0)
+        RouterSettings(max_support=1, max_explored=1)
 
 
 class TestHeuristicRouter:
@@ -214,11 +215,8 @@ class TestHeuristicRouter:
         assert result.probability == pytest.approx(OPTIMAL_PROBABILITY)
 
     def test_heuristics_are_cached_per_destination(self, paper_example):
-        router = HeuristicPaceRouter(
-            paper_example.pace_graph,
-            lambda graph, destination: PaceBinaryHeuristic(graph, destination),
-            method_name="T-B-P",
-        )
+        # The router holds no heuristics; create_router's cache reuses them.
+        router = create_router("T-B-P", paper_example.pace_graph)
         first = router.heuristic_for(VD)
         second = router.heuristic_for(VD)
         assert first is second
@@ -244,9 +242,11 @@ class TestHeuristicRouter:
         assert result.path.source == V1
         assert result.path.target == VD
 
-    def test_config_validation(self):
+    def test_config_validation(self, paper_example):
         with pytest.raises(ConfigurationError):
-            HeuristicRouterConfig(max_support=0).validate()
+            create_router(
+                "T-B-P", paper_example.pace_graph, settings=RouterSettings(max_support=0)
+            )
 
 
 class TestVPathRouter:
@@ -282,7 +282,7 @@ class TestVPathRouter:
             updated_example,
             None,
             method_name="V-None",
-            config=VPathRouterConfig(use_dominance=False),
+            use_dominance=False,
         )
         result = router.route(RoutingQuery(VS, VD, budget=30))
         assert result.found
@@ -367,10 +367,8 @@ class TestEdgeModelRouter:
         assert result.probability == pytest.approx(best)
 
     def test_dominance_pruning_preserves_optimum(self, paper_example):
-        with_pruning = EdgeModelRouter(paper_example.edge_graph, EdgeRouterConfig(use_dominance=True))
-        without_pruning = EdgeModelRouter(
-            paper_example.edge_graph, EdgeRouterConfig(use_dominance=False)
-        )
+        with_pruning = EdgeModelRouter(paper_example.edge_graph, use_dominance=True)
+        without_pruning = EdgeModelRouter(paper_example.edge_graph, use_dominance=False)
         for budget in (28, 30, 35):
             query = RoutingQuery(VS, VD, budget=budget)
             pruned_result = with_pruning.route(query)
@@ -386,10 +384,10 @@ class TestEdgeModelRouter:
         )
         budget = small_edge_graph.path_expected_cost(fastest) * 1.3
         query = RoutingQuery(source, destination, budget=budget)
-        with_pruning = EdgeModelRouter(small_edge_graph, EdgeRouterConfig(use_dominance=True))
-        without_pruning = EdgeModelRouter(small_edge_graph, EdgeRouterConfig(use_dominance=False))
+        with_pruning = EdgeModelRouter(small_edge_graph, use_dominance=True)
+        without_pruning = EdgeModelRouter(small_edge_graph, use_dominance=False)
         assert with_pruning.route(query).explored <= without_pruning.route(query).explored
 
-    def test_config_validation(self):
+    def test_config_validation(self, paper_example):
         with pytest.raises(ConfigurationError):
-            EdgeRouterConfig(max_explored=0).validate()
+            EdgeModelRouter(paper_example.edge_graph, RouterSettings(max_explored=0))

@@ -21,6 +21,7 @@ from repro.routing.engine import (
     create_router,
 )
 from repro.routing.queries import RoutingQuery
+from repro.routing.residency import heuristic_nbytes
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
 
@@ -228,6 +229,42 @@ class TestRoutingEngine:
         assert (stats.cache_entries, stats.cache_hits, stats.cache_misses) == (1, 1, 1)
         assert stats.cache_resident_bytes == counters.resident_bytes
         assert (stats.cache_faults, stats.cache_evictions) == (0, 0)
+
+    def test_cache_counters_do_not_depend_on_the_residency_mode(
+        self, paper_example, updated_example
+    ):
+        """The cache is the only holder of heuristics, bounded or not.
+
+        An unbounded engine and a bounded one whose byte budget holds every
+        table count the same lookups: one per guided query.
+        """
+        queries = _example_queries(paper_example)
+        methods = ("T-B-P", "V-B-P", "T-BS-60", "V-BS-60", "T-None", "V-None")
+        settings = RouterSettings(max_budget=120.0)
+
+        def run(cache_bytes):
+            engine = RoutingEngine(
+                paper_example.pace_graph,
+                updated_example,
+                settings=settings,
+                cache_bytes=cache_bytes,
+            )
+            for method in methods:
+                for query in queries:
+                    engine.route(query, method=method)
+            return engine
+
+        unbounded = run(None)
+        total = sum(heuristic_nbytes(h) for h in unbounded.heuristic_cache.snapshot().values())
+        bounded = run(total)
+        expected = unbounded.heuristic_cache.counters()
+        got = bounded.heuristic_cache.counters()
+        assert got.evictions == 0 and got.entries == expected.entries
+        assert (got.hits, got.misses) == (expected.hits, expected.misses)
+        # Four guided methods, five queries each, over two destinations; the
+        # binary-P tree is shared by T-B-P and V-B-P.
+        assert expected.misses == 3 * 2
+        assert expected.hits + expected.misses == 4 * len(queries)
 
     def test_prewarm_builds_heuristics(self, paper_example, updated_example):
         engine = _engine(paper_example, updated_example)
