@@ -375,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="worker count for --backend process"
     )
     serve.add_argument(
-        "--max-concurrency", type=int, default=4, help="requests routed concurrently"
+        "--max-concurrency", type=int, default=4,
+        help="requests admitted at once; in-process searches run one at a time",
     )
     serve.add_argument(
         "--queue-limit",

@@ -125,7 +125,7 @@ class ExecutionBackend(Protocol):
 
 
 class SerialBackend:
-    """Destination-grouped evaluation in the calling thread (the default)."""
+    """Destination-grouped evaluation in the calling thread, holding the engine's search lock."""
 
     def run(
         self,
@@ -135,8 +135,9 @@ class SerialBackend:
     ) -> list[RoutingResult]:
         router = engine.router(method)
         results: list[RoutingResult | None] = [None] * len(queries)
-        for index in destination_grouped_order(queries):
-            results[index] = router.route(queries[index])
+        with engine.searching():
+            for index in destination_grouped_order(queries):
+                results[index] = router.route(queries[index])
         return results  # type: ignore[return-value]
 
     def __repr__(self) -> str:

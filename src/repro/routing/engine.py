@@ -38,7 +38,8 @@ import threading
 import time
 import warnings
 from collections import Counter, OrderedDict
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
@@ -391,6 +392,10 @@ class EngineStats:
     #: (``fallback_queries``).  Zero for engines queried directly.
     backend_failures: int = 0
     fallback_queries: int = 0
+    #: Acquisitions of the search lock that found another search holding it,
+    #: and the seconds they waited: the queueing behind in-process searches.
+    search_lock_waits: int = 0
+    search_lock_wait_seconds: float = 0.0
 
 
 class RoutingEngine:
@@ -445,6 +450,10 @@ class RoutingEngine:
         self._router_lock = threading.Lock()
         self._query_counts: Counter[str] = Counter()
         self._stats_lock = threading.Lock()
+        #: One in-process search at a time: overlapping GIL-bound searches cost more CPU.
+        self.search_lock = threading.RLock()
+        self._lock_waits = 0
+        self._lock_wait_seconds = 0.0
         self.spec = spec
         self.provenance = dict(provenance) if provenance is not None else {"source": "memory"}
 
@@ -472,6 +481,7 @@ class RoutingEngine:
         """A snapshot of the serving counters (cache behaviour, query mix)."""
         with self._stats_lock:
             counts = dict(self._query_counts)
+            lock_waits, lock_wait_seconds = self._lock_waits, self._lock_wait_seconds
         counters = self._cache.counters()
         return EngineStats(
             cache_entries=counters.entries,
@@ -484,7 +494,24 @@ class RoutingEngine:
             cache_evictions=counters.evictions,
             cache_resident_bytes=counters.resident_bytes,
             provenance=dict(self.provenance),
+            search_lock_waits=lock_waits,
+            search_lock_wait_seconds=lock_wait_seconds,
         )
+
+    @contextmanager
+    def searching(self) -> Iterator[None]:
+        """Hold :attr:`search_lock`, counting the wait when another search holds it."""
+        if not self.search_lock.acquire(blocking=False):
+            with self._stats_lock:
+                self._lock_waits += 1
+            started = time.perf_counter()
+            self.search_lock.acquire()
+            with self._stats_lock:
+                self._lock_wait_seconds += time.perf_counter() - started
+        try:
+            yield
+        finally:
+            self.search_lock.release()
 
     def _count_queries(self, method_name: str, count: int) -> None:
         with self._stats_lock:
@@ -912,10 +939,11 @@ class RoutingEngine:
     # Routing
     # -------------------------------------------------------------- #
     def route(self, query: RoutingQuery, *, method: str | MethodSpec) -> RoutingResult:
-        """Evaluate one arriving-on-time query with ``method``."""
+        """Evaluate one arriving-on-time query with ``method``, holding :attr:`search_lock`."""
         spec = MethodSpec.coerce(method)
         self._count_queries(spec.canonical_name, 1)
-        return self.router(spec).route(query)
+        with self.searching():
+            return self.router(spec).route(query)
 
     def route_many(
         self,
@@ -931,8 +959,10 @@ class RoutingEngine:
         queries.  The execution strategy is the ``backend``
         (:mod:`repro.routing.backends`): serial by default, or e.g.
         ``ProcessBackend(workers=4)`` to scale the GIL-bound search loops
-        across processes.  Every backend returns
-        results identical to (and ordered like) the serial evaluation.
+        across processes.  A serial batch holds :attr:`search_lock` throughout,
+        so it runs after (never beside) other in-process searches.  Every
+        backend returns results identical to (and ordered like) the serial
+        evaluation.
         """
         spec = MethodSpec.coerce(method)
         queries = list(queries)

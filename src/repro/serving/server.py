@@ -32,6 +32,7 @@ import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import Future
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -57,7 +58,12 @@ _BACKENDS = ("serial", "process")
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Everything tunable about a :class:`RouteServer`, validated up front."""
+    """Everything tunable about a :class:`RouteServer`, validated up front.
+
+    ``max_concurrency`` requests are admitted at once, but in-process
+    searches run one at a time (the engine's search lock); use
+    ``backend="process"`` to route on more cores.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free ephemeral port
@@ -271,19 +277,21 @@ class RouteServer:
         return 200, responses[0] if single else responses
 
     def _route_job(self, items: list[object], deadline: Deadline) -> list[dict]:
-        """The admitted unit of work, run on an admission worker thread."""
-        if deadline.expired():
-            # Picked out of the queue too late: the answer could only be
-            # late, so skip the routing work entirely.
-            raise _ExpiredInQueue()
-        if self.faults.take("delay-response"):
-            # Simulated slow routing: the handler times out at the deadline
-            # and the (late) result below is discarded, never delivered.
-            self._sleep(self.faults.delay_seconds())
+        """The admitted unit of work; a serial server queues for the search lock first."""
         with self.reloader.lease() as service:
-            responses = service.handle_batch(
-                cast("list[dict]", items), backend=self.backend
-            )
+            serial = self.config.backend == "serial"
+            with service.engine.searching() if serial else nullcontext():
+                if deadline.expired():
+                    # Picked out of the queue too late: the answer could only
+                    # be late, so skip the routing work entirely.
+                    raise _ExpiredInQueue()
+                if self.faults.take("delay-response"):
+                    # Simulated slow routing: the handler times out at the
+                    # deadline and the (late) result below is discarded.
+                    self._sleep(self.faults.delay_seconds())
+                responses = service.handle_batch(
+                    cast("list[dict]", items), backend=self.backend
+                )
         return [response.to_dict() for response in responses]
 
     def _effective_deadline_ms(self, items: list[object]) -> float:

@@ -206,6 +206,70 @@ class TestDeadlineExpiry:
         _, stats = http_get(url, "/stats")
         assert stats["deadlines"]["deadline_exceeded"] >= 1
 
+    def test_a_request_queued_behind_a_search_expires_unrouted(self, tiny_artifact_store):
+        # Two requests are admitted at once, but a serial server searches one
+        # at a time: B waits behind A's (stalled) search, and that wait is
+        # queueing, so B expires there and is never routed.
+        baseline = serving_thread_ids()
+        server = RouteServer(
+            tiny_artifact_store,
+            ServerConfig(
+                max_concurrency=2,
+                queue_limit=0,
+                reload_poll_seconds=3600.0,
+                enable_fault_injection=True,
+            ),
+        )
+        server.start()
+        try:
+            url = server.url
+            status, _ = http_post(
+                url, "/faults", {"fault": "delay-response", "delay_seconds": 1.0}
+            )
+            assert status == 200
+            slow_result: list[tuple[int, object]] = []
+            slow = threading.Thread(
+                target=lambda: slow_result.append(
+                    http_post(url, "/route", dict(OK_REQUEST, method="V-BS-60"))
+                )
+            )
+            slow.start()
+            try:
+                # A holds the search lock once it has taken the stall.
+                assert wait_until(
+                    lambda: http_get(url, "/stats")[1]["faults"]["fired"].get("delay-response")
+                    == 1,
+                    timeout=10.0,
+                )
+                started = time.monotonic()
+                status, body = http_post(
+                    url,
+                    "/route",
+                    dict(OK_REQUEST, method="T-B-P", request_id="queued", deadline_ms=200.0),
+                )
+                waited = time.monotonic() - started
+            finally:
+                slow.join(timeout=30)
+            assert not slow.is_alive()
+            assert status == 504
+            assert body["request_id"] == "queued"
+            assert body["error"]["code"] == "deadline_exceeded"
+            assert 0.2 <= waited < 0.8
+            assert slow_result[0][0] == 200 and slow_result[0][1]["ok"] is True
+            # B's job runs once A releases the lock, finds its deadline gone
+            # and skips routing: no query counted, no late result discarded.
+            assert wait_until(
+                lambda: http_get(url, "/stats")[1]["admission"]["in_flight"] == 0,
+                timeout=10.0,
+            )
+            _, stats = http_get(url, "/stats")
+            assert stats["engine"]["queries_by_method"] == {"V-BS-60": 1}
+            assert stats["deadlines"]["deadline_exceeded"] == 1
+            assert stats["deadlines"]["discarded_late_results"] == 0
+        finally:
+            server.stop()
+        assert serving_thread_ids() <= baseline, "server left threads running"
+
     def test_a_generous_deadline_is_not_triggered(self, chaos_server):
         status, body = http_post(
             chaos_server.url, "/route", dict(OK_REQUEST, deadline_ms=30_000.0)
