@@ -8,7 +8,8 @@ graph, so repeated queries over the same network reuse each other's work —
 the paper's offline/online split taken to its conclusion).  This benchmark
 measures what that buys on the shared city store for the guided methods the
 paper's online phase runs — one binary-guided and one budget-guided T-path
-method plus the guided V-path method — routing the same long-haul workload
+method plus the guided V-path method — and for the exhaustive baselines
+T-None and V-None, routing the same long-haul workload
 through the scalar reference loop (:mod:`repro.routing._scalar_reference`)
 and through the router, with the router's heuristic instances (so only the
 search loop differs).
@@ -24,9 +25,9 @@ Each method is timed in three passes over the identical workload:
   evaluated by earlier queries.
 
 Reported to ``results/query_latency_bench.txt``: per-method p50/p95 latency
-per pass and the p50 speedups.  Gated on three things: all passes must
-return identical results query for query (the parity contract of
-``tests/test_expansion_parity.py``, re-checked here on city scale), the cold
+per pass and the p50 speedups.  Gated on three things: all passes of every
+method must return identical results query for query (the parity contract
+of ``tests/test_expansion_parity.py``, re-checked here on city scale), the cold
 kernels must beat scalar outright on the gated T-path methods, and at least
 one budget-pruned T-path method must clear a >= 3x p50 speedup batched vs
 scalar.
@@ -42,11 +43,14 @@ from repro.routing._scalar_reference import route_scalar
 from repro.routing.accel import accelerator_for
 from repro.routing.engine import create_router
 
-#: One binary-guided and one budget-guided T-path method, plus the guided
-#: V-path method (whose distributions are already incremental convolutions,
-#: so only its pruning/priorities batch — a smaller win by design).
-METHODS = ("T-B-P", "T-BS-60", "V-B-P")
-#: The T-path methods eligible to satisfy the speedup gates.
+#: One binary-guided and one budget-guided T-path method, the guided V-path
+#: method (whose distributions are already incremental convolutions, so only
+#: its pruning/priorities batch — a smaller win by design), and the two
+#: unguided methods, so the parity gate covers every method family: both
+#: graph families, guided and exhaustive.
+METHODS = ("T-B-P", "T-BS-60", "V-B-P", "T-None", "V-None")
+#: The T-path methods eligible to satisfy the speedup gates (the unguided
+#: methods are measured and parity-checked, not gated).
 GATED_METHODS = ("T-B-P", "T-BS-60")
 QUERY_TARGET = 16
 MIN_PAIR_DISTANCE = 1100.0
@@ -111,8 +115,8 @@ def test_query_latency_scalar_vs_batched(city_store, city_batch_factory):
 
         # Warm-up pass: builds the workload's per-destination heuristics
         # (shared with the router through the engine's cache), so the timed
-        # passes measure search only.
-        warm_results, _ = _route_all(route_reference, queries)
+        # passes measure search only.  Unguided methods have none to build.
+        warm_results = _route_all(route_reference, queries)[0] if router.guided else None
 
         scalar_results, scalar_latencies = _route_all(route_reference, queries)
         # Cold pass: evaluation memos emptied — a cold-started batched
@@ -127,12 +131,12 @@ def test_query_latency_scalar_vs_batched(city_store, city_batch_factory):
 
         # Parity gate: every pass answered every query identically — path,
         # probability, explored count.
-        for scalar, cold, hot, warm in zip(
-            scalar_results, cold_results, hot_results, warm_results
-        ):
-            assert cold.path == scalar.path == hot.path == warm.path
+        for scalar, cold, hot in zip(scalar_results, cold_results, hot_results):
+            assert cold.path == scalar.path == hot.path
             assert cold.probability == scalar.probability == hot.probability
             assert cold.explored == scalar.explored == hot.explored
+        if warm_results is not None:
+            assert [r.path for r in warm_results] == [r.path for r in scalar_results]
 
         scalar_sorted = sorted(scalar_latencies)
         cold_sorted = sorted(cold_latencies)

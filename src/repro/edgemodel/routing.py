@@ -5,22 +5,67 @@ down to (and below) what the classical EDGE model achieves with
 stochastic-dominance pruning.  This router implements that classical
 algorithm — best-first exploration by arrival probability with convolution
 costs, dominance pruning and budget pruning — both as a reference point and
-as the substrate behind the T-B-E heuristic intuition.
+as the substrate behind the T-B-E heuristic intuition.  It runs the same
+:func:`~repro.routing.search.best_first` loop as the PACE routers.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import time
-
 from repro.core.edge_graph import EdgeGraph
 from repro.network.algorithms import single_source_costs
-from repro.routing.dominance import DominancePruner
 from repro.routing.queries import RoutingQuery, RoutingResult
+from repro.routing.search import Candidate, best_first
 from repro.routing.settings import RouterSettings
 
 __all__ = ["EdgeModelRouter"]
+
+
+class _EdgeFrontier:
+    """Edge-by-edge expansion prioritised by each candidate's own arrival probability.
+
+    The priority can only shrink when a path is extended, so it is an
+    admissible bound and the first destination pop is optimal (``guided``).
+    """
+
+    guided = True
+
+    def __init__(
+        self, graph: EdgeGraph, min_to_destination: dict[int, float], budget: float, max_support: int
+    ):
+        self._graph = graph
+        self._min_to_destination = min_to_destination
+        self._budget = budget
+        self._max_support = max_support
+
+    def _remaining(self, vertex: int) -> float:
+        return self._min_to_destination.get(vertex, float("inf"))
+
+    def _entry(self, candidate: Candidate) -> tuple[float, Candidate]:
+        return -candidate.distribution.prob_at_most(self._budget), candidate
+
+    def seed(self, source: int) -> list[tuple[float, Candidate]]:
+        return [
+            self._entry(Candidate(element.path, element.distribution))
+            for element in self._graph.outgoing_elements(source)
+            if element.distribution.min() + self._remaining(element.target) <= self._budget
+        ]
+
+    def expand(self, candidate: Candidate) -> list[tuple[float, Candidate]]:
+        path, distribution = candidate.path, candidate.distribution
+        children = []
+        for element in self._graph.outgoing_elements(path.target):
+            if any(path.visits(v) for v in element.path.vertices[1:]):
+                continue
+            if (
+                distribution.min() + element.distribution.min() + self._remaining(element.target)
+                > self._budget
+            ):
+                continue
+            new_distribution = distribution.convolve(
+                element.distribution, max_support=self._max_support
+            )
+            children.append(self._entry(Candidate(path.concat(element.path), new_distribution)))
+        return children
 
 
 class EdgeModelRouter:
@@ -53,63 +98,16 @@ class EdgeModelRouter:
 
     def route(self, query: RoutingQuery) -> RoutingResult:
         """Evaluate one arriving-on-time query in the EDGE model."""
-        start = time.perf_counter()
-        graph = self._graph
-        budget = query.budget
-        min_to_destination = self._min_costs_to(query.destination)
-        pruner = DominancePruner() if self._use_dominance else None
-        candidate_ids = itertools.count()
-        heap = []
-        explored = 0
-
-        def remaining(vertex: int) -> float:
-            return min_to_destination.get(vertex, float("inf"))
-
-        def push(path, distribution) -> None:
-            candidate_id = next(candidate_ids)
-            if pruner is not None and not pruner.admit(candidate_id, path.target, distribution):
-                return
-            priority = -distribution.prob_at_most(budget)
-            heapq.heappush(heap, (priority, candidate_id, path, distribution))
-
-        for element in graph.outgoing_elements(query.source):
-            if element.distribution.min() + remaining(element.target) > budget:
-                continue
-            push(element.path, element.distribution)
-
-        best_path, best_prob, best_distribution = None, 0.0, None
-        while heap and explored < self._settings.max_explored:
-            negative_probability, candidate_id, path, distribution = heapq.heappop(heap)
-            if pruner is not None and pruner.is_pruned(candidate_id):
-                continue
-            explored += 1
-            if path.target == query.destination:
-                # The priority (probability of the candidate itself) can only shrink when
-                # the path is extended, so the first destination pop is optimal.
-                best_path = path
-                best_prob = -negative_probability
-                best_distribution = distribution
-                break
-            for element in graph.outgoing_elements(path.target):
-                if any(path.visits(v) for v in element.path.vertices[1:]):
-                    continue
-                if (
-                    distribution.min() + element.distribution.min() + remaining(element.target)
-                    > budget
-                ):
-                    continue
-                new_path = path.concat(element.path)
-                new_distribution = distribution.convolve(
-                    element.distribution, max_support=self._settings.max_support
-                )
-                push(new_path, new_distribution)
-
-        return RoutingResult(
-            query=query,
-            method=self.method_name,
-            path=best_path,
-            probability=best_prob,
-            distribution=best_distribution,
-            explored=explored,
-            runtime_seconds=time.perf_counter() - start,
+        settings = self._settings
+        return best_first(
+            query,
+            self.method_name,
+            lambda: _EdgeFrontier(
+                self._graph,
+                self._min_costs_to(query.destination),
+                query.budget,
+                settings.max_support,
+            ),
+            max_explored=settings.max_explored,
+            dominance=self._use_dominance,
         )

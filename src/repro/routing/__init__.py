@@ -33,7 +33,6 @@ from repro.routing.engine import (
     migrate_store,
 )
 from repro.routing.methods import MethodSpec
-from repro.routing.naive import NaivePaceRouter
 from repro.routing.queries import RoutingQuery, RoutingResult
 from repro.routing.service import (
     ERROR_CODES,
@@ -48,7 +47,6 @@ from repro.routing.vpath_routing import VPathRouter
 __all__ = [
     "RoutingQuery",
     "RoutingResult",
-    "NaivePaceRouter",
     "HeuristicPaceRouter",
     "VPathRouter",
     "DominancePruner",

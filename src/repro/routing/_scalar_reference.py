@@ -1,18 +1,24 @@
-"""Scalar reference implementation of the guided routers' search loops.
+"""Scalar reference implementation of the routers' search loops.
 
 This module preserves the original per-element Python loops of
-:class:`~repro.routing.tpath_routing.HeuristicPaceRouter` and
+:class:`~repro.routing.tpath_routing.HeuristicPaceRouter` (guided, and
+unguided as PACE's Algorithm 1 for T-None) and
 :class:`~repro.routing.vpath_routing.VPathRouter` — one cycle check, budget
-prune, path evaluation and Eq. 3 ``maxProb`` call per successor element —
-from before the batched frontier kernels of :mod:`repro.routing.accel`.  It
-exists for two reasons:
+prune, path evaluation and priority per successor element, each loop with
+its own heap — from before the routers shared the
+:func:`~repro.routing.search.best_first` loop and the batched
+:class:`~repro.routing.accel.ExpansionKernel`.  It exists for three reasons:
 
 * the property-based tests in ``tests/test_expansion_parity.py`` check that
   the routers return bitwise the same results as these loops (same path,
   probability, distribution and explored count) on random cyclic graphs,
-  including under ``max_explored`` truncation, and
+  including under ``max_explored`` truncation,
+* tests that need an exhaustive ground truth (T-None's loop with a
+  :class:`~repro.heuristics.base.NoHeuristic`) use it as an oracle that
+  shares no code with the search it checks, and
 * the benchmark in ``benchmarks/test_query_latency_bench.py`` measures the
-  routers' speed-up against them on city-scale queries.
+  routers' speed-up against them on city-scale queries and re-checks parity
+  there for every method family.
 
 The functions take the graph, the destination's heuristic and the limits as
 explicit arguments; :func:`route_scalar` maps a method name and
@@ -54,10 +60,11 @@ def route_scalar(
     *,
     settings: RouterSettings,
 ) -> RoutingResult:
-    """Route ``query`` with the scalar loop of the guided router ``method`` runs on.
+    """Route ``query`` with the scalar loop of the router ``method`` runs on.
 
     ``heuristic`` is the destination's heuristic (a :class:`NoHeuristic` for
-    V-None); ``settings`` supplies ``max_support`` and ``max_explored``.
+    T-None and V-None); ``settings`` supplies ``max_support`` and
+    ``max_explored``.
     """
     spec = MethodSpec.coerce(method)
     if spec.graph == "pace":
@@ -66,6 +73,7 @@ def route_scalar(
             heuristic,
             query,
             method_name=spec.canonical_name,
+            guided=spec.heuristic != "none",
             max_support=settings.max_support,
             max_explored=settings.max_explored,
         )
@@ -86,16 +94,29 @@ def route_tpath_scalar(
     query: RoutingQuery,
     *,
     method_name: str,
+    guided: bool,
     max_support: int,
     max_explored: int,
 ) -> RoutingResult:
-    """The seed's per-element best-first PACE search (T-B-*, T-BS-δ)."""
+    """The seed's per-element PACE search (T-None, T-B-*, T-BS-δ).
+
+    ``guided`` selects best-first ``maxProb`` order with early stop (a real
+    heuristic) over PACE's Algorithm 1 (T-None): exhaustive expected-cost
+    order keeping the best arrival probability, where only candidates whose
+    minimum cost exceeds the budget are dropped.
+    """
     start = time.perf_counter()
     budget = query.budget
     explored = 0
     counter = 0
     heap: list[tuple[float, int, tuple[Path, Distribution, float]]] = []
-    found: tuple[Path, float, Distribution] | None = None
+
+    def priority_of(path: Path, distribution: Distribution) -> float | None:
+        """The heap key, or ``None`` when the candidate cannot arrive on time."""
+        if guided:
+            bound = max_prob(distribution, heuristic, path.target, budget)
+            return -bound if bound > 0 else None
+        return distribution.expectation() if distribution.min() <= budget else None
 
     for element in graph.outgoing_elements(query.source):
         path = element.path
@@ -104,22 +125,30 @@ def route_tpath_scalar(
         distribution = element.distribution
         if distribution.min() + heuristic.min_cost(path.target) > budget:
             continue
-        priority = max_prob(distribution, heuristic, path.target, budget)
-        if priority <= 0:
+        priority = priority_of(path, distribution)
+        if priority is None:
             continue
         counter += 1
         heapq.heappush(
             heap,
-            (-priority, counter, (path, distribution, graph.path_min_cost(path))),
+            (priority, counter, (path, distribution, graph.path_min_cost(path))),
         )
 
+    best_path = None
+    best_prob = 0.0
+    best_distribution = None
     while heap and explored < max_explored:
         _, _, (path, distribution, min_cost) = heapq.heappop(heap)
         explored += 1
         if path.target == query.destination:
-            # Admissible priorities: nothing left in the queue can beat this path.
-            found = (path, distribution.prob_at_most(budget), distribution)
-            break
+            probability = distribution.prob_at_most(budget)
+            if guided:
+                # Admissible priorities: nothing left in the queue can beat this path.
+                best_path, best_prob, best_distribution = path, probability, distribution
+                break
+            if probability > best_prob:
+                best_path, best_prob, best_distribution = path, probability, distribution
+            continue
         for element in graph.outgoing_elements(path.target):
             if any(path.visits(v) for v in element.path.vertices[1:]):
                 continue
@@ -131,15 +160,14 @@ def route_tpath_scalar(
                 continue
             new_path = path.concat(element.path)
             new_distribution = graph.path_cost_distribution(new_path, max_support=max_support)
-            priority = max_prob(new_distribution, heuristic, new_path.target, budget)
-            if priority <= 0:
+            priority = priority_of(new_path, new_distribution)
+            if priority is None:
                 continue
             counter += 1
             heapq.heappush(
-                heap, (-priority, counter, (new_path, new_distribution, new_min_cost))
+                heap, (priority, counter, (new_path, new_distribution, new_min_cost))
             )
 
-    best_path, best_prob, best_distribution = found if found is not None else (None, 0.0, None)
     return RoutingResult(
         query=query,
         method=method_name,

@@ -1,41 +1,46 @@
 """Batched frontier expansion: the per-query search hot path as ndarray kernels.
 
-The best-first routers (:mod:`repro.routing.tpath_routing`,
-:mod:`repro.routing.vpath_routing`) pop one candidate at a time but then
-iterate its successor elements in pure Python: cycle check, budget prune,
-path-cost evaluation and one Eq. 3 ``maxProb`` call *per edge*.  This module
-compiles that inner loop into bulk operations over a pre-enumerated layout:
+Every router runs one best-first loop (:func:`repro.routing.search.best_first`)
+that pops one candidate at a time; this module is the frontier it pops from.
+Expanding a candidate means a cycle check, a budget prune, a path-cost
+evaluation and an Eq. 3 ``maxProb`` priority for each of its successor
+elements, and this module compiles that inner loop into bulk operations over
+a pre-enumerated layout:
 
 * :class:`FrontierAccelerator` — built once per graph (cached by content
   fingerprint via :func:`accelerator_for`), it flattens every vertex's
   ``outgoing_elements`` into CSR-style ndarrays: successor targets, element
-  min-costs (distribution minima and edge-graph minima), simple-path flags,
-  the elements' inner vertices for cycle masking, and the concatenated
-  support value/probability columns of the element distributions.  A popped
-  candidate's entire successor set is one slice.
+  min-costs (distribution minima and edge-graph minima), simple-path flags
+  and the elements' inner vertices for cycle masking.  A popped candidate's
+  entire successor set is one slice.
 
-* :class:`TExpansionKernel` / :class:`VExpansionKernel` — per-query kernels
-  that evaluate the budget prune (``path_min_cost + getMin > B``), the
-  incremental candidate min-cost, and the ``maxProb`` priorities of *all*
-  surviving successors in a handful of ndarray ops — one segmented
+* :class:`ExpansionKernel` — the per-query kernel of both graph families.
+  It seeds the frontier and evaluates the cycle mask, the budget prune
+  (``min_cost + getMin > B``) and the priorities of *all* surviving
+  successors in a handful of ndarray ops — one segmented
   :func:`~repro.heuristics.base.max_prob_segments` call per expansion
-  (reduced with ``np.add.reduceat``) instead of one ``max_prob`` per edge.
+  (reduced with ``np.add.reduceat``) instead of one ``max_prob`` per edge,
+  or the expected cost when no heuristic guides the search.  The families
+  differ only in how a child's distribution is obtained: by resuming the
+  parent's PACE chain trail on the plain PACE graph, or by a memoized
+  convolution on the updated graph ``G_p+``.
 
-* :class:`ChainTrail` — the T-kernel's PACE-evaluation cache.  The dominant
-  per-expansion cost is :meth:`PaceGraph.path_cost_distribution`, which
-  walks the coarsest T-path sequence (CPS) from scratch for every pushed
-  successor.  Each candidate instead carries its whole CPS with the chain
-  states after every milestone, and a successor reuses the longest prefix
-  that provably survives the extension: when no graph element contains the
-  junction edge pair (pre-indexed in ``crossing_pairs``), the parent's
-  *entire* CPS survives and the child chain-steps only its own new
-  elements; otherwise milestones up to ``len(parent) - L`` survive
-  unconditionally (no element is long enough to reach the junction from
-  there) and deeper ones are verified against the child's re-derived greedy
-  choices.  Finished evaluations additionally memoize on the accelerator:
-  a path's cost distribution depends only on the graph, never on the query,
-  so candidates, queries and routers sharing one accelerator skip chain
-  walks other searches already performed.
+* :class:`ChainTrail` — the PACE-evaluation cache.  The dominant
+  per-expansion cost on the plain PACE graph is
+  :meth:`PaceGraph.path_cost_distribution`, which walks the coarsest T-path
+  sequence (CPS) from scratch for every pushed successor.  Each candidate
+  instead carries its whole CPS with the chain states after every
+  milestone, and a successor reuses the longest prefix that provably
+  survives the extension: when no graph element contains the junction edge
+  pair (pre-indexed in ``crossing_pairs``), the parent's *entire* CPS
+  survives and the child chain-steps only its own new elements; otherwise
+  milestones up to ``len(parent) - L`` survive unconditionally (no element
+  is long enough to reach the junction from there) and deeper ones are
+  verified against the child's re-derived greedy choices.  Finished
+  evaluations additionally memoize on the accelerator: a path's cost
+  distribution depends only on the graph, never on the query, so
+  candidates, queries and routers sharing one accelerator skip chain walks
+  other searches already performed.
 
 * :class:`ArrayChainStates` — the chain folds themselves run array-native.
   The reference fold (:meth:`PaceGraph.chain_step`) shifts and scales every
@@ -71,6 +76,7 @@ from repro.core.errors import PathError
 from repro.core.pace_graph import DEFAULT_MAX_CHAIN_STATES, PaceGraph
 from repro.core.paths import Path
 from repro.heuristics.base import Heuristic, max_prob_segments
+from repro.routing.search import Candidate
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
 __all__ = [
@@ -78,9 +84,7 @@ __all__ = [
     "accelerator_for",
     "ArrayChainStates",
     "ChainTrail",
-    "TCandidate",
-    "TExpansionKernel",
-    "VExpansionKernel",
+    "ExpansionKernel",
 ]
 
 #: Chain states: (cost vector of the last CPS element) -> {total -> probability}.
@@ -102,9 +106,8 @@ class FrontierAccelerator:
 
     def __init__(self, graph: GraphLike) -> None:
         pace = graph.pace_graph if isinstance(graph, UpdatedPaceGraph) else graph
-        self.fingerprint: str = graph.content_fingerprint()
         #: Upper bound on how many edges any CPS element can span (the
-        #: trail stability window of the T-kernel).
+        #: trail stability window of PACE evaluation).
         self.max_cardinality: int = pace.max_element_cardinality()
         #: Every consecutive edge pair occurring inside a T-path.  An element
         #: of a path's CPS can only straddle the junction where an extension
@@ -112,7 +115,7 @@ class FrontierAccelerator:
         #: back to back — single-edge elements never can, and single-edge
         #: T-paths are folded into the edge weights — so a junction pair
         #: absent from this set proves the parent's whole CPS survives the
-        #: extension (the T-kernel's fast path).
+        #: extension (the trail's fast path).
         self.crossing_pairs: frozenset[tuple[int, int]] = frozenset(
             pair for tpath in pace.tpaths() for pair in itertools.pairwise(tpath.path.edges)
         )
@@ -141,19 +144,6 @@ class FrontierAccelerator:
         #: Per slot: the element's vertices past its source — what a cycle
         #: check needs to test against the candidate path's visited set.
         self.inner_vertices: list[tuple[int, ...]] = [e.path.vertices[1:] for e in elements]
-        support_offsets = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum([len(e.distribution) for e in elements], out=support_offsets[1:])
-        self.support_offsets: np.ndarray = support_offsets
-        self.support_values: np.ndarray = (
-            np.concatenate([e.distribution.values_array for e in elements])
-            if elements
-            else np.empty(0)
-        )
-        self.support_probs: np.ndarray = (
-            np.concatenate([e.distribution.probabilities_array for e in elements])
-            if elements
-            else np.empty(0)
-        )
         self._lock = threading.Lock()
         self._target_min_costs: weakref.WeakKeyDictionary[Heuristic, np.ndarray] = (
             weakref.WeakKeyDictionary()
@@ -242,7 +232,7 @@ class FrontierAccelerator:
                 self._evaluations.popitem(last=False)
 
     def convolution_get(self, key: tuple[bytes, bytes, int, int]) -> Distribution | None:
-        """A memoized candidate convolution, the V-router analogue of
+        """A memoized candidate convolution, the updated-graph analogue of
         :meth:`evaluation_get`.
 
         A V-path candidate's distribution is the convolution chain of its
@@ -272,24 +262,6 @@ class FrontierAccelerator:
         with self._lock:
             self._evaluations.clear()
             self._convolutions.clear()
-
-    def support_segments(
-        self, slots: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The concatenated distribution supports of the given slots.
-
-        Returns ``(values, probabilities, offsets)`` ready for
-        :func:`~repro.heuristics.base.max_prob_segments`.
-        """
-        starts = self.support_offsets[slots]
-        counts = self.support_offsets[slots + 1] - starts
-        offsets = np.zeros(len(slots) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        positions = np.arange(offsets[-1], dtype=np.int64) + np.repeat(
-            starts - offsets[:-1], counts
-        )
-        return self.support_values[positions], self.support_probs[positions], offsets
-
 
 # ---------------------------------------------------------------------- #
 # Fingerprint-keyed accelerator cache (shared across routers and engines)
@@ -684,8 +656,10 @@ def _finish_states(states: ArrayChainStates, max_support: int | None) -> Distrib
     return result
 
 
+
+
 # ---------------------------------------------------------------------- #
-# T-router kernel: checkpointed PACE evaluation + batched expansion
+# The expansion kernel: batched prune + one maxProb call per expansion
 # ---------------------------------------------------------------------- #
 
 
@@ -699,13 +673,13 @@ class ChainTrail:
     :meth:`~repro.core.pace_graph.PaceGraph.path_cost_distribution` chain
     states after folding it in.  Successors reuse the longest trail prefix
     that provably survives the extension (see
-    :meth:`TExpansionKernel._evaluate`) and chain-step only past it.  States
+    :meth:`ExpansionKernel._evaluate`) and chain-step only past it.  States
     are never mutated after capture (each chain step builds fresh arrays),
     so one trail is safely shared by all children.
 
-    Seed candidates carry the empty trail: their first expansion walks the
-    one- or two-element CPS from scratch, which is cheaper than eagerly
-    evaluating seeds that may never be popped.
+    Seed candidates carry no trail: their first expansion walks the one- or
+    two-element CPS from scratch, which is cheaper than eagerly evaluating
+    seeds that may never be popped.
     """
 
     elements: tuple[WeightedElement, ...]
@@ -716,73 +690,66 @@ class ChainTrail:
 _EMPTY_TRAIL = ChainTrail((), (), ())
 
 
-@dataclass(frozen=True)
-class TCandidate:
-    """A heap entry of the T-path router."""
+class ExpansionKernel:
+    """Per-query batched frontier expansion over either graph family.
 
-    path: Path
-    distribution: Distribution
-    #: Sum of minimum edge costs of ``path``, carried incrementally
-    #: (parent min + element edge-min) instead of re-summed per expansion.
-    min_cost: float
-    trail: ChainTrail
+    The kernel owns everything the routers' searches share: seeding, the
+    cycle mask, the min-cost budget prune (``min_cost + getMin > B``) and the
+    priority rule — ``-maxProb`` (Eq. 3, one segmented
+    :func:`~repro.heuristics.base.max_prob_segments` call per expansion) for
+    guided searches, which also drop candidates with ``maxProb <= 0``, and
+    the expected cost for unguided ones (T-None, V-None), which drop
+    candidates whose minimum cost already exceeds the budget.
 
-
-class TExpansionKernel:
-    """Per-query batched frontier expansion for :class:`HeuristicPaceRouter`."""
+    The graph families differ only in how a child's distribution and
+    min-cost are obtained.  On the plain PACE graph the child is
+    PACE-evaluated by resuming its parent's :class:`ChainTrail` and its
+    min-cost is the parent's plus the element's edge minimum.  On the
+    updated graph ``G_p+`` it is the memoized convolution of the parent's
+    distribution with the element's (Lemma 4.1), and its min-cost is that
+    distribution's minimum.
+    """
 
     def __init__(
         self,
-        graph: PaceGraph,
-        accelerator: FrontierAccelerator,
+        graph: GraphLike,
         heuristic: Heuristic,
         budget: float,
         *,
         max_support: int,
+        guided: bool,
     ) -> None:
         self._graph = graph
-        self._accel = accelerator
+        self._accel = accel = accelerator_for(graph)
         self._heuristic = heuristic
         self._budget = budget
         self._max_support = max_support
-        self._target_min = accelerator.target_min_costs(heuristic)
+        #: True when priorities are admissible Eq. 3 bounds, so the search
+        #: may stop at its first pop at the destination.
+        self.guided = guided
+        self._convolving = isinstance(graph, UpdatedPaceGraph)
+        self._slot_min = accel.dist_min if self._convolving else accel.edge_min
+        self._target_min = accel.target_min_costs(heuristic)
 
-    def seed(self, source: int) -> list[tuple[float, TCandidate]]:
+    def seed(self, source: int) -> list[tuple[float, Candidate]]:
         """The initial frontier: one candidate per admissible element leaving ``source``."""
         accel = self._accel
         lo, hi = accel.slot_range(source)
-        if hi == lo:
-            return []
         keep = accel.simple[lo:hi] & ~(
             accel.dist_min[lo:hi] + self._target_min[lo:hi] > self._budget
         )
         slots = np.flatnonzero(keep) + lo
-        if len(slots) == 0:
-            return []
-        values, probabilities, offsets = accel.support_segments(slots)
-        priorities = max_prob_segments(
-            values, probabilities, offsets, accel.targets[slots], self._heuristic, self._budget
-        )
-        candidates: list[tuple[float, TCandidate]] = []
-        for position, slot in enumerate(slots.tolist()):
-            priority = float(priorities[position])
-            if priority <= 0:
-                continue
-            element = accel.elements[slot]
-            candidates.append(
-                (
-                    priority,
-                    TCandidate(
-                        path=element.path,
-                        distribution=element.distribution,
-                        min_cost=float(accel.edge_min[slot]),
-                        trail=_EMPTY_TRAIL,
-                    ),
-                )
+        candidates = [
+            Candidate(
+                accel.elements[slot].path,
+                accel.elements[slot].distribution,
+                float(self._slot_min[slot]),
             )
-        return candidates
+            for slot in slots.tolist()
+        ]
+        return self._prioritise(slots, candidates)
 
-    def expand(self, candidate: TCandidate) -> list[tuple[float, TCandidate]]:
+    def expand(self, candidate: Candidate) -> list[tuple[float, Candidate]]:
         """All surviving successors of a popped candidate, in element order."""
         accel = self._accel
         path = candidate.path
@@ -798,54 +765,64 @@ class TExpansionKernel:
             dtype=bool,
             count=hi - lo,
         )
-        new_min_costs = candidate.min_cost + accel.edge_min[lo:hi]
+        new_min_costs = candidate.min_cost + self._slot_min[lo:hi]
         keep = ~has_cycle & ~(new_min_costs + self._target_min[lo:hi] > self._budget)
-        slots = np.flatnonzero(keep)
-        if len(slots) == 0:
-            return []
-        extended: list[tuple[int, Path, Distribution, ChainTrail]] = []
-        for slot in (slots + lo).tolist():
-            element = accel.elements[slot]
-            new_path = path.concat(element.path)
-            distribution, trail = self._evaluate(new_path, path, candidate.trail)
-            extended.append((slot, new_path, distribution, trail))
-        counts = np.fromiter(
-            (len(entry[2]) for entry in extended), dtype=np.int64, count=len(extended)
-        )
-        offsets = np.zeros(len(extended) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        values = np.concatenate([entry[2].values_array for entry in extended])
-        probabilities = np.concatenate([entry[2].probabilities_array for entry in extended])
-        priorities = max_prob_segments(
-            values,
-            probabilities,
-            offsets,
-            accel.targets[slots + lo],
-            self._heuristic,
-            self._budget,
-        )
-        children: list[tuple[float, TCandidate]] = []
-        for position, (slot, new_path, distribution, trail) in enumerate(extended):
-            priority = float(priorities[position])
-            if priority <= 0:
-                continue
-            children.append(
-                (
-                    priority,
-                    TCandidate(
-                        path=new_path,
-                        distribution=distribution,
-                        min_cost=float(new_min_costs[slot - lo]),
-                        trail=trail,
-                    ),
+        slots = np.flatnonzero(keep) + lo
+        children: list[Candidate] = []
+        if self._convolving:
+            distribution = candidate.distribution
+            parent_values = distribution.values_array.tobytes()
+            parent_probs = distribution.probabilities_array.tobytes()
+            for slot in slots.tolist():
+                element = accel.elements[slot]
+                memo_key = (parent_values, parent_probs, slot, self._max_support)
+                child = accel.convolution_get(memo_key)
+                if child is None:
+                    child = distribution.convolve(
+                        element.distribution, max_support=self._max_support
+                    )
+                    accel.convolution_put(memo_key, child)
+                children.append(Candidate(path.concat(element.path), child, child.min()))
+        else:
+            for slot in slots.tolist():
+                new_path = path.concat(accel.elements[slot].path)
+                child, trail = self._evaluate(new_path, candidate)
+                children.append(
+                    Candidate(new_path, child, float(new_min_costs[slot - lo]), trail)
                 )
-            )
-        return children
+        return self._prioritise(slots, children)
+
+    def _prioritise(
+        self, slots: np.ndarray, candidates: list[Candidate]
+    ) -> list[tuple[float, Candidate]]:
+        """Heap priorities of ``candidates`` (which end at ``slots``' targets), pruned."""
+        budget = self._budget
+        if not self.guided:
+            return [
+                (candidate.distribution.expectation(), candidate)
+                for candidate in candidates
+                if not candidate.distribution.min() > budget
+            ]
+        if not candidates:
+            return []
+        bounds = max_prob_segments(
+            np.concatenate([c.distribution.values_array for c in candidates]),
+            np.concatenate([c.distribution.probabilities_array for c in candidates]),
+            np.cumsum([0, *(len(c.distribution) for c in candidates)]),
+            self._accel.targets[slots],
+            self._heuristic,
+            budget,
+        )
+        return [
+            (-bound, candidate)
+            for bound, candidate in zip(bounds.tolist(), candidates)
+            if bound > 0
+        ]
 
     def _evaluate(
-        self, new_path: Path, parent: Path, trail: ChainTrail
+        self, new_path: Path, parent: Candidate
     ) -> tuple[Distribution, ChainTrail]:
-        """PACE-evaluate ``new_path`` reusing the parent's chain trail.
+        """PACE-evaluate ``new_path`` reusing the ``parent`` candidate's chain trail.
 
         Bitwise identical to
         ``graph.path_cost_distribution(new_path, max_support=...)``: the CPS
@@ -871,13 +848,15 @@ class TExpansionKernel:
           states carry over, until the first divergence.
         """
         graph = self._graph
+        assert isinstance(graph, PaceGraph)
         accel = self._accel
         edges = new_path.edges
         memo_key = (edges, self._max_support)
         memoized = accel.evaluation_get(memo_key)
         if memoized is not None:
             return memoized
-        parent_len = len(parent.edges)
+        trail = parent.trail if parent.trail is not None else _EMPTY_TRAIL
+        parent_len = len(parent.path.edges)
         elements = trail.elements
         ends = trail.ends
         reused = -1  # deepest trail index whose milestone/states carry over
@@ -930,128 +909,3 @@ class TExpansionKernel:
         )
         accel.evaluation_put(memo_key, result)
         return result
-
-
-# ---------------------------------------------------------------------- #
-# V-router kernel: batched prune + one maxProb call per expansion
-# ---------------------------------------------------------------------- #
-
-
-class VExpansionKernel:
-    """Per-query batched frontier expansion for :class:`VPathRouter`.
-
-    Candidate distributions stay incremental convolutions (Lemma 4.1) and
-    dominance admission stays sequential (its outcome depends on admission
-    order); the kernel batches everything around them — cycle masking, the
-    min-cost budget prune and the Eq. 3 priorities of a whole successor
-    slice.
-    """
-
-    def __init__(
-        self,
-        graph: UpdatedPaceGraph,
-        accelerator: FrontierAccelerator,
-        heuristic: Heuristic,
-        budget: float,
-        *,
-        max_support: int,
-        guided: bool,
-    ) -> None:
-        self._graph = graph
-        self._accel = accelerator
-        self._heuristic = heuristic
-        self._budget = budget
-        self._max_support = max_support
-        self._guided = guided
-        self._target_min = accelerator.target_min_costs(heuristic)
-
-    def seed(self, source: int) -> list[tuple[Path, Distribution, float]]:
-        """Admissible elements leaving ``source`` with their heap priorities.
-
-        The priority is ``-maxProb`` for guided searches and the expected
-        cost for unguided ones (V-None explores in expected-cost order).
-        """
-        accel = self._accel
-        lo, hi = accel.slot_range(source)
-        if hi == lo:
-            return []
-        keep = accel.simple[lo:hi] & ~(
-            accel.dist_min[lo:hi] + self._target_min[lo:hi] > self._budget
-        )
-        slots = np.flatnonzero(keep) + lo
-        if len(slots) == 0:
-            return []
-        if not self._guided:
-            elements = [accel.elements[slot] for slot in slots.tolist()]
-            return [(e.path, e.distribution, e.distribution.expectation()) for e in elements]
-        values, probabilities, offsets = accel.support_segments(slots)
-        priorities = max_prob_segments(
-            values, probabilities, offsets, accel.targets[slots], self._heuristic, self._budget
-        )
-        seeds: list[tuple[Path, Distribution, float]] = []
-        for position, slot in enumerate(slots.tolist()):
-            priority = float(priorities[position])
-            if priority <= 0:
-                continue
-            element = accel.elements[slot]
-            seeds.append((element.path, element.distribution, -priority))
-        return seeds
-
-    def expand(
-        self, path: Path, distribution: Distribution
-    ) -> list[tuple[Path, Distribution, float]]:
-        """All surviving successors of a popped candidate, in element order."""
-        accel = self._accel
-        lo, hi = accel.slot_range(path.target)
-        if hi == lo:
-            return []
-        visited = set(path.vertices)
-        has_cycle = np.fromiter(
-            (
-                any(vertex in visited for vertex in accel.inner_vertices[slot])
-                for slot in range(lo, hi)
-            ),
-            dtype=bool,
-            count=hi - lo,
-        )
-        minimum = distribution.min() + accel.dist_min[lo:hi]
-        keep = ~has_cycle & ~(minimum + self._target_min[lo:hi] > self._budget)
-        slots = np.flatnonzero(keep) + lo
-        if len(slots) == 0:
-            return []
-        extended: list[tuple[int, Path, Distribution]] = []
-        parent_values = distribution.values_array.tobytes()
-        parent_probs = distribution.probabilities_array.tobytes()
-        for slot in slots.tolist():
-            element = accel.elements[slot]
-            new_path = path.concat(element.path)
-            memo_key = (parent_values, parent_probs, slot, self._max_support)
-            new_distribution = accel.convolution_get(memo_key)
-            if new_distribution is None:
-                new_distribution = distribution.convolve(
-                    element.distribution, max_support=self._max_support
-                )
-                accel.convolution_put(memo_key, new_distribution)
-            extended.append((slot, new_path, new_distribution))
-        if not self._guided:
-            return [
-                (new_path, new_distribution, new_distribution.expectation())
-                for _, new_path, new_distribution in extended
-            ]
-        counts = np.fromiter(
-            (len(entry[2]) for entry in extended), dtype=np.int64, count=len(extended)
-        )
-        offsets = np.zeros(len(extended) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        values = np.concatenate([entry[2].values_array for entry in extended])
-        probabilities = np.concatenate([entry[2].probabilities_array for entry in extended])
-        bounds = max_prob_segments(
-            values, probabilities, offsets, accel.targets[slots], self._heuristic, self._budget
-        )
-        children: list[tuple[Path, Distribution, float]] = []
-        for position, (_, new_path, new_distribution) in enumerate(extended):
-            bound = float(bounds[position])
-            if bound <= 0:
-                continue
-            children.append((new_path, new_distribution, -bound))
-        return children

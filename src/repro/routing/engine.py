@@ -62,7 +62,6 @@ from repro.routing.residency import (
     heuristic_nbytes,
     normalise_prewarm,
 )
-from repro.routing.naive import NaivePaceRouter
 from repro.routing.queries import RoutingQuery, RoutingResult
 from repro.routing.settings import RouterSettings
 from repro.routing.tpath_routing import HeuristicPaceRouter
@@ -347,8 +346,6 @@ def create_router(
     else:
         factory = _binary_factory(spec.binary_kind, cache)
     if spec.graph == "pace":
-        if factory is None:
-            return NaivePaceRouter(pace_graph, settings)
         return HeuristicPaceRouter(pace_graph, factory, method_name=name, settings=settings)
     if updated_graph is None:
         raise ConfigurationError(f"method {name!r} needs the updated PACE graph (V-paths)")

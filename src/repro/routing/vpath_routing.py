@@ -16,13 +16,12 @@ stops when the top of the queue reaches the destination; without one (V-None)
 it explores exhaustively in expected-cost order, exactly like the T-None
 baseline but with convolution and dominance pruning.
 
-Like the T-path routers, the frontier is expanded through the kernels of
-:mod:`repro.routing.accel`, which mask cycles, apply the budget prune and
-price Eq. 3 for a popped candidate's whole successor slice in bulk ndarray
-ops.  Dominance admission stays sequential — its outcome depends on
-admission order — and candidate distributions stay incremental
-convolutions.  The per-element loop the kernels replace lives on as the
-test reference in :mod:`repro.routing._scalar_reference`.
+The search is the same :func:`~repro.routing.search.best_first` loop and
+:class:`~repro.routing.accel.ExpansionKernel` the T-path routers run, here
+with dominance admission (sequential: its outcome depends on admission
+order) and memoized convolutions in place of PACE chain trails.  The
+per-element loop the kernel replaces lives on as the test reference in
+:mod:`repro.routing._scalar_reference`.
 
 The returned path's distribution and probability are re-computed under
 exact PACE semantics (coarsest T-path assembly) before being reported: a
@@ -34,17 +33,14 @@ with the T-path routers.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import time
 from collections.abc import Callable
 
 from repro.core.distributions import Distribution
 from repro.core.paths import Path
 from repro.heuristics.base import Heuristic, NoHeuristic
-from repro.routing.accel import VExpansionKernel, accelerator_for
-from repro.routing.dominance import DominancePruner
+from repro.routing.accel import ExpansionKernel
 from repro.routing.queries import RoutingQuery, RoutingResult
+from repro.routing.search import best_first
 from repro.routing.settings import RouterSettings
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
@@ -88,69 +84,26 @@ class VPathRouter:
         """True when an informative heuristic guides the search (early stop allowed)."""
         return self._factory is not None
 
-    # ------------------------------------------------------------------ #
-    # Routing
-    # ------------------------------------------------------------------ #
     def route(self, query: RoutingQuery) -> RoutingResult:
         """Evaluate one arriving-on-time query on the updated PACE graph."""
-        start = time.perf_counter()
-        graph = self._graph
-        budget = query.budget
-        heuristic = self.heuristic_for(query.destination)
-        pruner = DominancePruner() if self._use_dominance else None
-        candidate_ids = itertools.count()
-        explored = 0
-        heap: list[tuple[float, int, Path, Distribution]] = []
-        kernel = VExpansionKernel(
-            graph,
-            accelerator_for(graph),
-            heuristic,
-            budget,
-            max_support=self._settings.max_support,
-            guided=self.guided,
+        settings = self._settings
+        return best_first(
+            query,
+            self.method_name,
+            lambda: ExpansionKernel(
+                self._graph,
+                self.heuristic_for(query.destination),
+                query.budget,
+                max_support=settings.max_support,
+                guided=self.guided,
+            ),
+            max_explored=settings.max_explored,
+            dominance=self._use_dominance,
+            reevaluate=self._pace_distribution,
         )
 
-        def push(path: Path, distribution: Distribution, priority: float) -> None:
-            candidate_id = next(candidate_ids)
-            if pruner is not None and not pruner.admit(candidate_id, path.target, distribution):
-                return
-            heapq.heappush(heap, (priority, candidate_id, path, distribution))
-
-        for path, distribution, priority in kernel.seed(query.source):
-            push(path, distribution, priority)
-
-        best_path = None
-        best_prob = 0.0
-        best_distribution = None
-        while heap and explored < self._settings.max_explored:
-            _, candidate_id, path, distribution = heapq.heappop(heap)
-            if pruner is not None and pruner.is_pruned(candidate_id):
-                continue
-            explored += 1
-            if path.target == query.destination:
-                probability = distribution.prob_at_most(budget)
-                if self.guided:
-                    best_path, best_prob, best_distribution = path, probability, distribution
-                    break
-                if probability > best_prob:
-                    best_path, best_prob, best_distribution = path, probability, distribution
-                continue
-            for new_path, new_distribution, priority in kernel.expand(path, distribution):
-                push(new_path, new_distribution, priority)
-
-        if best_path is not None:
-            best_distribution = graph.pace_graph.path_cost_distribution(
-                best_path, max_support=self._settings.max_support
-            )
-            best_prob = best_distribution.prob_at_most(budget)
-
-        runtime = time.perf_counter() - start
-        return RoutingResult(
-            query=query,
-            method=self.method_name,
-            path=best_path,
-            probability=best_prob,
-            distribution=best_distribution,
-            explored=explored,
-            runtime_seconds=runtime,
+    def _pace_distribution(self, path: Path) -> Distribution:
+        """The answer's cost distribution under exact PACE semantics."""
+        return self._graph.pace_graph.path_cost_distribution(
+            path, max_support=self._settings.max_support
         )

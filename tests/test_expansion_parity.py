@@ -39,10 +39,11 @@ from repro.tpaths.extraction import TPathMinerConfig, build_pace_graph
 from repro.trajectories.model import Trajectory
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
-#: Every routing method with a scalar reference loop: the guided T-path
-#: routers over each heuristic family, and the V-path router guided,
-#: budget-guided and unguided (V-None exercises the NoHeuristic kernel path).
-METHODS = ("T-B-EU", "T-B-E", "T-B-P", "T-BS-60", "V-None", "V-B-P", "V-BS-60")
+#: Every routing method with a scalar reference loop: the T-path router
+#: unguided and over each heuristic family, and the V-path router guided,
+#: budget-guided and unguided (T-None and V-None exercise the NoHeuristic
+#: kernel path with expected-cost priorities and no early stop).
+METHODS = ("T-None", "T-B-EU", "T-B-E", "T-B-P", "T-BS-60", "V-None", "V-B-P", "V-BS-60")
 
 
 def _random_instance(seed: int) -> tuple[PaceGraph, UpdatedPaceGraph, int, int]:
@@ -146,7 +147,7 @@ def test_batched_expansion_matches_scalar_on_random_graphs(seed, budget):
         _assert_identical(scalar, batched)
 
 
-@pytest.mark.parametrize("method", ["T-B-P", "T-BS-60", "V-B-P", "V-None"])
+@pytest.mark.parametrize("method", ["T-None", "T-B-P", "T-BS-60", "V-B-P", "V-None"])
 @pytest.mark.parametrize("max_explored", [1, 7, 23])
 def test_batched_expansion_matches_scalar_under_truncation(method, max_explored):
     """A tiny ``max_explored`` cuts both searches at the same pop, same result."""

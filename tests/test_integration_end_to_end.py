@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.evaluation.workloads import WorkloadConfig, generate_workload
-from repro.heuristics import PaceBinaryHeuristic
+from repro.heuristics import NoHeuristic, PaceBinaryHeuristic
 from repro.routing import RouterSettings, RoutingQuery, create_router
-from repro.routing.naive import NaivePaceRouter
+from repro.routing._scalar_reference import route_scalar
 from repro.trajectories import GpsSimulatorConfig, HmmMapMatcher, MapMatcherConfig, simulate_gps_trace
 from repro.tpaths import TPathMinerConfig, build_pace_graph
 from repro.vpaths import UpdatedPaceGraph
@@ -23,11 +23,20 @@ class TestEndToEnd:
             WorkloadConfig(pairs_per_bucket=1, budget_fractions=(1.0,), seed=3),
         )
         settings = RouterSettings(max_budget=3000.0, max_explored=50000)
-        baseline = NaivePaceRouter(small_pace_graph, RouterSettings(max_explored=50000))
+        # The exhaustive baseline is PACE's Algorithm 1 through the scalar
+        # reference loop, which shares no search code with the routers.
+        baseline_settings = RouterSettings(max_explored=50000)
         methods = ("T-B-EU", "T-B-E", "T-B-P", "T-BS-60", "V-BS-60")
         for workload_query in workload.queries[:3]:
             query = workload_query.query
-            reference = baseline.route(query)
+            reference = route_scalar(
+                "T-None",
+                small_pace_graph,
+                small_updated_graph,
+                NoHeuristic(query.destination),
+                query,
+                settings=baseline_settings,
+            )
             for method in methods:
                 router = create_router(method, small_pace_graph, small_updated_graph, settings=settings)
                 result = router.route(query)

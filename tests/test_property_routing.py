@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from repro.core.edge_graph import EdgeGraph
 from repro.core.distributions import Distribution
 from repro.core.pace_graph import PaceGraph
-from repro.heuristics.base import max_prob
+from repro.heuristics.base import NoHeuristic, max_prob
 from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
 from repro.network.road_network import RoadNetwork
-from repro.routing.naive import NaivePaceRouter
+from repro.routing._scalar_reference import route_scalar
 from repro.routing.queries import RoutingQuery
 from repro.routing.settings import RouterSettings
 from repro.routing.vpath_routing import VPathRouter
@@ -84,14 +84,29 @@ def _random_instance(seed: int) -> tuple[PaceGraph, UpdatedPaceGraph, int, int]:
     return pace, updated, source, destination
 
 
+def _exhaustive(pace: PaceGraph, updated: UpdatedPaceGraph, query: RoutingQuery):
+    """The exhaustive baseline: PACE's Algorithm 1 through the scalar reference loop.
+
+    The reference shares no search code with the routers, so it stays an
+    independent oracle for them.
+    """
+    return route_scalar(
+        "T-None",
+        pace,
+        updated,
+        NoHeuristic(query.destination),
+        query,
+        settings=RouterSettings(max_explored=4000),
+    )
+
+
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_binary_heuristic_is_admissible_on_random_graphs(seed):
     """getMin never exceeds the minimum cost of any concrete path to the destination."""
-    pace, _, source, destination = _random_instance(seed)
+    pace, updated, source, destination = _random_instance(seed)
     heuristic = PaceBinaryHeuristic(pace, destination)
-    baseline = NaivePaceRouter(pace, RouterSettings(max_explored=4000))
-    result = baseline.route(RoutingQuery(source, destination, budget=10_000.0))
+    result = _exhaustive(pace, updated, RoutingQuery(source, destination, budget=10_000.0))
     if result.found:
         assert heuristic.min_cost(source) <= result.distribution.min() + 1e-9
 
@@ -111,13 +126,12 @@ def test_budget_heuristic_upper_bounds_every_candidate_path(seed):
     baseline is therefore re-evaluated here under edge-wise independent
     convolution before being compared against the bound.
     """
-    pace, _, source, destination = _random_instance(seed)
+    pace, updated, source, destination = _random_instance(seed)
     heuristic = BudgetSpecificHeuristic(
         pace, destination, BudgetHeuristicConfig(delta=15, max_budget=600)
     )
-    baseline = NaivePaceRouter(pace, RouterSettings(max_explored=4000))
     for budget in (60.0, 90.0, 120.0):
-        result = baseline.route(RoutingQuery(source, destination, budget=budget))
+        result = _exhaustive(pace, updated, RoutingQuery(source, destination, budget=budget))
         if not result.found:
             continue
         independent = Distribution.point(0.0)

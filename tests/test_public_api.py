@@ -206,6 +206,8 @@ class TestPublicApi:
 
         Routers read one settings object and hold no heuristics: the
         per-router config classes and the ``pin_heuristics`` switch are gone.
+        Every router runs the one heap loop of ``routing/search.py``: no other
+        routing module imports ``heapq`` (the scalar reference loops excepted).
         """
         from repro import edgemodel, routing
         from repro.heuristics import budget
@@ -218,7 +220,6 @@ class TestPublicApi:
         configs = ("NaiveRouterConfig", "HeuristicRouterConfig", "VPathRouterConfig")
         for module, removed in (
             (routing, configs),
-            (routing.naive, configs[:1]),
             (routing.tpath_routing, configs[1:2]),
             (routing.vpath_routing, configs[2:]),
             (edgemodel, ("EdgeRouterConfig",)),
@@ -227,7 +228,6 @@ class TestPublicApi:
             for name in removed:
                 assert not hasattr(module, name), (module.__name__, name)
         for router in (
-            routing.NaivePaceRouter,
             routing.HeuristicPaceRouter,
             routing.VPathRouter,
             edgemodel.EdgeModelRouter,
@@ -235,6 +235,20 @@ class TestPublicApi:
             parameters = inspect.signature(router).parameters
             assert "settings" in parameters, router
             assert not {"config", "pin_heuristics"} & set(parameters), router
+        src = Path(repro.__file__).parent
+        heap_users = set()
+        for package in ("routing", "edgemodel"):
+            for path in (src / package).rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Import):
+                        imported = {alias.name for alias in node.names}
+                    elif isinstance(node, ast.ImportFrom):
+                        imported = {node.module or ""}
+                    else:
+                        continue
+                    if "heapq" in imported:
+                        heap_users.add(path.relative_to(src).as_posix())
+        assert heap_users == {"routing/search.py", "routing/_scalar_reference.py"}
         assert "mirror" not in inspect.signature(budget.build_heuristic_table).parameters
         for module, name in (
             (budget, "_DenseMirror"),

@@ -12,7 +12,6 @@ from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.network.algorithms import shortest_path
 from repro.routing.dominance import DominancePruner
 from repro.routing.engine import METHOD_NAMES, RouterSettings, create_router
-from repro.routing.naive import NaivePaceRouter
 from repro.routing.queries import RoutingQuery, RoutingResult
 from repro.routing.tpath_routing import HeuristicPaceRouter
 from repro.routing.vpath_routing import VPathRouter
@@ -40,7 +39,7 @@ class TestQueries:
 
     def test_result_summary_found(self, paper_example):
         query = RoutingQuery(VS, VD, budget=30)
-        router = NaivePaceRouter(paper_example.pace_graph)
+        router = create_router("T-None", paper_example.pace_graph)
         result = router.route(query)
         assert "P(arrive within" in result.summary()
         assert result.found
@@ -162,24 +161,24 @@ class TestDominancePruner:
 
 class TestNaiveRouter:
     def test_finds_optimal_path(self, paper_example):
-        router = NaivePaceRouter(paper_example.pace_graph)
+        router = create_router("T-None", paper_example.pace_graph)
         result = router.route(RoutingQuery(VS, VD, budget=30))
         assert result.path.edges == OPTIMAL_EDGES
         assert result.probability == pytest.approx(OPTIMAL_PROBABILITY)
 
     def test_large_budget_reaches_probability_one(self, paper_example):
-        router = NaivePaceRouter(paper_example.pace_graph)
+        router = create_router("T-None", paper_example.pace_graph)
         result = router.route(RoutingQuery(VS, VD, budget=60))
         assert result.probability == pytest.approx(1.0)
 
     def test_tiny_budget_finds_nothing(self, paper_example):
-        router = NaivePaceRouter(paper_example.pace_graph)
+        router = create_router("T-None", paper_example.pace_graph)
         result = router.route(RoutingQuery(VS, VD, budget=10))
         assert not result.found
         assert result.probability == 0.0
 
     def test_explores_more_than_guided_routers(self, paper_example):
-        naive = NaivePaceRouter(paper_example.pace_graph)
+        naive = create_router("T-None", paper_example.pace_graph)
         guided = HeuristicPaceRouter(
             paper_example.pace_graph,
             lambda graph, destination: PaceBinaryHeuristic(graph, destination),
@@ -189,7 +188,7 @@ class TestNaiveRouter:
         assert naive.route(query).explored > guided.route(query).explored
 
     def test_max_explored_cap(self, paper_example):
-        router = NaivePaceRouter(paper_example.pace_graph, RouterSettings(max_explored=2))
+        router = create_router("T-None", paper_example.pace_graph, settings=RouterSettings(max_explored=2))
         result = router.route(RoutingQuery(VS, VD, budget=30))
         assert result.explored <= 2
 
