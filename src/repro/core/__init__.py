@@ -18,6 +18,7 @@ from repro.core.errors import (
     UnknownVertexError,
 )
 from repro.core.joint import JointDistribution, assemble_sequence
+from repro.core.layout import ElementLayout, element_layout
 from repro.core.pace_graph import PaceGraph
 from repro.core.paths import Path
 
@@ -30,6 +31,8 @@ __all__ = [
     "PaceGraph",
     "ElementKind",
     "WeightedElement",
+    "ElementLayout",
+    "element_layout",
     "ReproError",
     "DistributionError",
     "JointDistributionError",

@@ -21,9 +21,21 @@ real road networks contain cycles, the builder performs additional sweeps
 that monotonically tighten the table without ever dropping below the true
 probabilities.
 
-**Vectorized Bellman kernel.**  :func:`build_heuristic_table` evaluates Eq. 5
-for *all* budget columns of a vertex at once instead of cell by cell.  For
-every outgoing element the builder precomputes, once per build,
+**Per-destination setup over the element layout.**  Everything Eq. 5 reads
+from the graph — each vertex's edges, T-paths and V-paths, their targets and
+cost distributions — is the same for every destination, so it is read from
+the graph's one cached :class:`~repro.core.layout.ElementLayout` instead of
+walking ``outgoing_elements`` per build.  Per destination the builder then
+derives, with array operations over the layout's slots, the vertex order by
+``(getMin, id)``, each row's position and first stored column, every kept
+element's successor position, the predecessor lists (multi-sweep builds
+only) and the first-sweep band estimates.  Rows the builder made itself are
+adopted without the public constructor's copy and checks.
+
+**Vectorized Bellman kernel.**  :func:`build_heuristic_table` can evaluate
+Eq. 5 for a whole block of budget columns of a vertex at once instead of
+cell by cell.  For every outgoing element the builder computes, on first
+visit of each column block and memoized for the build,
 
 * the gather matrix ``cols[k, j] = column_of(j·δ − c_k)`` mapping each
   (support point, budget column) pair to the successor row cell it reads,
@@ -35,7 +47,14 @@ every outgoing element the builder precomputes, once per build,
 One application of Eq. 5 to a vertex row is then, per element, a single fancy
 gather of the target's stored row followed by a pdf-weighted mat-vec, and the
 element maximum plus the 0/1 saturation trimming back to the compressed
-``l``/``s`` form are NumPy reductions.
+``l``/``s`` form are NumPy reductions.  Rows expected to be narrow start with
+a scalar head instead (see ``_SCALAR_HEAD``), and which path runs depends on
+the grid.  Measured on the aalborg-like city (``max_budget=2500``, one sweep,
+T- and V-tables for all 100 destinations): at δ=60 all 19,800 row
+evaluations end inside the scalar head, at τ=30 and at τ=50 alike, so no
+column block and no :class:`_BandMirror` gather runs; at δ=10 (η=250) the
+same build prepares 34,044 block gather matrices and performs 15,684 band
+gathers.  The blocks and the mirror serve fine grids only.
 
 **Band-compressed working memory.**  Gathers read the successor rows through
 :class:`_BandMirror`, which answers them straight from each row's compressed
@@ -46,13 +65,16 @@ vertices × η≈500, which is what kept country-scale grids out of reach).  The
 row copies scale with the stored band cells, but they are not what sets the
 peak: the gather offsets memoized per element (one int64 per support point
 and budget column, for every block of every element) dominate it and grow
-linearly with η.  On the benchmarks' aalborg-like city, one destination's
-traced peak is 610 / 966 / 1617 KB at η = 250 / 500 / 1000 while its stored
-band cells take about 5 / 14 / 28 KB.  The offsets stay int64 because a
-narrower dtype would add an ``intp`` cast to every gather.
+linearly with η.  On the benchmarks' aalborg-like city (τ=30, converged
+sweeps, measured with the tracing of ``benchmarks/test_artifact_v2_bench.py``),
+one destination's traced peak is 575 / 922 / 1559 KB at η = 250 / 500 / 1000
+while its stored band cells take about 5 / 14 / 28 KB; the first build over
+a graph also pays one-time work, enumerating the graph's element layout
+among it, which adds about 170 KB to that build's peak.  The offsets stay
+int64 because a narrower dtype would add an ``intp`` cast to every gather.
 ``benchmarks/test_artifact_v2_bench.py`` reports the build's peak memory;
 ``tests/test_heuristic_reference.py`` pins the tables to the scalar
-reference builder.
+reference builder, and the ``tiny`` recipe's δ=60 tables to a byte digest.
 
 Sweeping is organised as a
 Gauss–Seidel *dirty worklist* over vertices in increasing ``getMin`` order:
@@ -75,6 +97,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import ConfigurationError, HeuristicError
+from repro.core.layout import element_layout
 from repro.heuristics.base import Heuristic
 from repro.heuristics.binary import BinaryHeuristic, PaceBinaryHeuristic
 from repro.heuristics.tables import (
@@ -150,39 +173,6 @@ _SCALAR_HEAD = 4
 _FIRST_BLOCK = 8
 
 
-class _ElementKernel:
-    """Per-element state of the Eq. 5 evaluation.
-
-    ``target`` is ``None`` when the element ends at the destination (its
-    contribution is a constant in the budget column).  ``support``/``weights``
-    are the plain-float tuples the scalar head iterates; ``costs``/``probs``
-    the arrays the vectorized tail reads.  Block data — the gather matrix
-    ``cols[k, j] = column_of(j·δ − c_k)``, the constant destination
-    contribution and the binary fallback used while the target row does not
-    exist — is computed on first visit of each column block and memoized, so
-    elements of rows that saturate early never materialise the full
-    ``support × eta`` matrices.
-    """
-
-    __slots__ = ("target", "distribution", "support", "weights", "min_cost_target", "blocks")
-
-    def __init__(self, target, distribution, min_cost_target):
-        self.target = target
-        self.distribution = distribution
-        self.support = distribution.support
-        self.weights = distribution.probabilities
-        self.min_cost_target = min_cost_target
-        self.blocks: list = []
-
-    @property
-    def costs(self):
-        return self.distribution.values_array
-
-    @property
-    def probs(self):
-        return self.distribution.probabilities_array
-
-
 class _BandMirror:
     """Band-compressed working view of U: no dense ``V × (η+1)`` matrix.
 
@@ -251,80 +241,117 @@ def build_heuristic_table(
     rounding = config.grid_rounding
     table = HeuristicTable(destination=destination, delta=delta, eta=eta)
 
-    network = graph.network
     # Destination row: probability 1 for every budget (second observation in the paper).
     table.set_row(destination, HeuristicRow(first_index=1, values=()))
 
-    # Process vertices from the destination outwards (by increasing getMin); this is the
-    # FIFO expansion of Algorithm 3 collapsed into a deterministic order, so that most
-    # successor rows already exist when a row is computed.
-    reachable = [
-        (binary.min_cost(v), v)
-        for v in network.vertex_ids()
-        if v != destination and binary.min_cost(v) < float("inf")
-    ]
-    reachable.sort()
-    order = [vertex for _, vertex in reachable]
-    index_of = {vertex: position for position, vertex in enumerate(order)}
-    n = len(order)
+    # ---------------------------------------------------------------- #
+    # Per-destination setup: array operations over the graph's layout
+    # ---------------------------------------------------------------- #
+    layout = element_layout(graph)
+    min_costs = binary.min_cost_many(layout.vertex_ids)  # getMin per layout row
+    destination_row = layout.row_of.get(destination, -1)
+    rows = np.flatnonzero(min_costs < math.inf)
+    rows = rows[rows != destination_row]
+    # Process vertices from the destination outwards, by (getMin, id); this is
+    # the FIFO expansion of Algorithm 3 collapsed into a deterministic order,
+    # so that most successor rows already exist when a row is computed.
+    # Layout rows run in increasing id order, so a stable sort on getMin
+    # breaks ties by id.
+    order_rows = rows[np.argsort(min_costs[rows], kind="stable")]
+    n = len(order_rows)
     if n == 0:
         table.sweeps_performed = 0
         return table
+    order = layout.vertex_ids[order_rows].tolist()
+    position_of_row = np.full(len(layout.vertex_ids), -1, dtype=np.int64)
+    position_of_row[order_rows] = np.arange(n)
+    # A row's first stored column is the column of its getMin (``column_for``
+    # with the default ceil rounding), at least 1.
+    first_index_of = np.maximum(1, columns_for_budgets(min_costs[order_rows], delta))
+
+    # The outgoing slots of every ordered vertex, position by position: each
+    # position's run starts at its vertex's first layout slot.
+    starts = layout.offsets[order_rows]
+    counts = layout.offsets[order_rows + 1] - starts
+    slot_positions = np.repeat(np.arange(n), counts)
+    run_begins = np.cumsum(counts) - counts
+    slots = starts[slot_positions] + np.arange(len(slot_positions)) - run_begins[slot_positions]
+    target_rows = layout.target_rows[slots]
+    # Successor position per slot; -1 marks an element ending at the
+    # destination (its contribution is a constant in the budget column).
+    # Elements whose target cannot reach the destination contribute 0 at
+    # every budget, forever, and are dropped.
+    target_positions = position_of_row[target_rows]
+    kept = (target_rows == destination_row) | (target_positions >= 0)
+    slots = slots[kept]
+    slot_positions = slot_positions[kept]
+    target_positions = target_positions[kept]
+    min_cost_targets = np.where(target_positions < 0, 0.0, min_costs[target_rows[kept]])
+    distributions = [layout.distributions[slot] for slot in slots.tolist()]
+
+    #: Per position, its element kernels — ``(target position, support,
+    #: weights, getMin(target), kernel index)`` — the plain-float tuples the
+    #: scalar head iterates.  The vectorized tail reads the kernel's
+    #: distribution arrays and memoized column blocks by kernel index.
+    kernel_list = list(
+        zip(
+            target_positions.tolist(),
+            [d.support for d in distributions],
+            [d.probabilities for d in distributions],
+            min_cost_targets.tolist(),
+            range(len(distributions)),
+        )
+    )
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot_positions, minlength=n), out=bounds[1:])
+    bounds_list = bounds.tolist()
+    kernels = [kernel_list[bounds_list[p] : bounds_list[p + 1]] for p in range(n)]
+    blocks: list[list | None] = [None] * len(kernel_list)
+
+    #: First-sweep estimate of each row's band width in columns: a row stays
+    #: below 1 at least across the cost spread of its outgoing elements.
+    spreads = (layout.dist_max[slots] - layout.dist_min[slots]) / delta
+    band_estimate = np.zeros(n)
+    occupied = bounds[:-1] < bounds[1:]
+    if occupied.any():
+        band_estimate[occupied] = np.maximum.reduceat(spreads, bounds[:-1][occupied])
+    narrow_first = (band_estimate <= _SCALAR_HEAD).tolist()
+
+    max_sweeps = config.sweeps if config.sweeps is not None else _CONVERGENCE_SWEEP_CAP
+    # A single sweep needs no predecessor lists: every later row of the one
+    # pass is still dirty, and no further pass reads ``next_dirty``.
+    predecessors: list[list[int]] = []
+    if max_sweeps > 1:
+        linked = target_positions >= 0
+        by_target = np.argsort(target_positions[linked], kind="stable")
+        sources = slot_positions[linked][by_target].tolist()
+        pred_bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(target_positions[linked], minlength=n), out=pred_bounds[1:])
+        pred_bounds_list = pred_bounds.tolist()
+        predecessors = [
+            sources[pred_bounds_list[p] : pred_bounds_list[p + 1]] for p in range(n)
+        ]
 
     #: Budgets of the grid columns 1..eta, exactly as the scalar loop computes them.
     budgets = np.arange(1, eta + 1) * delta
 
-    # ---------------------------------------------------------------- #
-    # Per-element kernels (cost-column offsets and pdf weights)
-    # ---------------------------------------------------------------- #
-    kernels: list[list[_ElementKernel]] = []
-    first_index_of = np.empty(n, dtype=np.int64)
-    predecessors: list[set[int]] = [set() for _ in range(n)]
-    for position, vertex in enumerate(order):
-        first_index_of[position] = max(1, table.column_for(binary.min_cost(vertex)))
-        vertex_kernels: list[_ElementKernel] = []
-        for element in graph.outgoing_elements(vertex):
-            target = element.target
-            distribution = element.distribution
-            if target == destination:
-                vertex_kernels.append(_ElementKernel(None, distribution, 0.0))
-                continue
-            target_position = index_of.get(target)
-            if target_position is None:
-                # The destination is unreachable from the target: the element
-                # contributes 0 at every budget, forever.
-                continue
-            vertex_kernels.append(
-                _ElementKernel(target_position, distribution, binary.min_cost(target))
-            )
-            predecessors[target_position].add(position)
-        kernels.append(vertex_kernels)
-    #: First-sweep estimate of each row's band width in columns: a row stays
-    #: below 1 at least across the cost spread of its outgoing elements.
-    band_estimate = [
-        max(
-            (
-                (kernel.support[-1] - kernel.support[0]) / delta
-                for kernel in vertex_kernels
-            ),
-            default=0.0,
-        )
-        for vertex_kernels in kernels
-    ]
-
-    def element_block(kernel: _ElementKernel, block_index: int, lo: int, hi: int):
-        """Memoized block data of one element for grid columns ``lo+1..hi`` (0-based slice).
+    def element_block(k: int, target: int, block_index: int, lo: int, hi: int):
+        """Memoized block data of kernel ``k`` for grid columns ``lo+1..hi`` (0-based slice).
 
         Blocks are visited strictly in order (``compute_values`` walks them
         from 0), so at most the next block is missing; computing a later one
         first would silently backfill earlier slots with the wrong range.
         """
-        assert len(kernel.blocks) >= block_index, "column blocks must be visited in order"
-        if len(kernel.blocks) == block_index:
-            remaining = budgets[None, lo:hi] - kernel.costs[:, None]
-            if kernel.target is None:
+        kernel_blocks = blocks[k]
+        if kernel_blocks is None:
+            kernel_blocks = blocks[k] = []
+        assert len(kernel_blocks) >= block_index, "column blocks must be visited in order"
+        if len(kernel_blocks) == block_index:
+            distribution = distributions[k]
+            remaining = budgets[None, lo:hi] - distribution.values_array[:, None]
+            if target < 0:
                 # Destination target: U is 1 whenever any residual budget remains.
-                kernel.blocks.append(kernel.probs @ (remaining >= 0.0))
+                kernel_blocks.append(distribution.probabilities_array @ (remaining >= 0.0))
             else:
                 cols = np.minimum(
                     columns_for_budgets(remaining, delta, rounding=rounding), eta
@@ -334,17 +361,17 @@ def build_heuristic_table(
                 # swept first — so it is filled lazily on first use.  The
                 # gather matrix is stored as band offsets, fixed per build
                 # because ``first_index`` is.
-                kernel.blocks.append([u_mirror.prepare(kernel.target, cols), None])
-        return kernel.blocks[block_index]
+                kernel_blocks.append([u_mirror.prepare(target, cols), None])
+        return kernel_blocks[block_index]
 
     # Band-compressed working view of U for the vectorized gathers (its
     # padded rows track the stored l/s bands; the memoized gather offsets in
-    # ``kernels`` grow with η and set the peak).  The compressed rows
+    # ``blocks`` grow with η and set the peak).  The compressed rows
     # themselves live in ``row_objects`` (mirroring the table) for cheap
     # scalar reads.
     u_mirror = _BandMirror(n, first_index_of)
-    has_row = np.zeros(n, dtype=bool)
     row_objects: list[HeuristicRow | None] = [None] * n
+    first_index_list = first_index_of.tolist()
 
     budget_list = budgets.tolist()
     if rounding == "floor":
@@ -363,26 +390,23 @@ def build_heuristic_table(
         vertex_kernels = kernels[position]
         values: list[float] = []
         saturated = False
-        for index in range(int(first_index_of[position]) - 1, stop):
+        for index in range(first_index_list[position] - 1, stop):
             budget = budget_list[index]
             best = 0.0
-            for kernel in vertex_kernels:
+            for target, support, weights, min_cost_target, _ in vertex_kernels:
                 acc = 0.0
-                target = kernel.target
-                if target is None:
-                    for cost, weight in zip(kernel.support, kernel.weights):
+                if target < 0:
+                    for cost, weight in zip(support, weights):
                         if budget >= cost:
                             acc += weight
-                elif has_row[target]:
-                    target_row = row_objects[target]
-                    for cost, weight in zip(kernel.support, kernel.weights):
+                elif (target_row := row_objects[target]) is not None:
+                    for cost, weight in zip(support, weights):
                         residual = budget - cost
                         if residual <= 0:
                             continue
                         acc += weight * target_row.value_at_column(scalar_column(residual))
                 else:
-                    min_cost_target = kernel.min_cost_target
-                    for cost, weight in zip(kernel.support, kernel.weights):
+                    for cost, weight in zip(support, weights):
                         residual = budget - cost
                         if residual > 0 and residual >= min_cost_target:
                             acc += weight
@@ -410,10 +434,10 @@ def build_heuristic_table(
         first saturated column, keeping the work proportional to the
         compressed band the row stores.
         """
-        first_index = int(first_index_of[position])
+        first_index = first_index_list[position]
         previous = row_objects[position]
         if previous is None:
-            expected_narrow = band_estimate[position] <= _SCALAR_HEAD
+            expected_narrow = narrow_first[position]
         else:
             expected_narrow = previous.values.size <= _SCALAR_HEAD
         head_allow = _SCALAR_HEAD if expected_narrow else 0
@@ -430,18 +454,21 @@ def build_heuristic_table(
         while lo < eta:
             hi = min(eta, lo + width)
             best = np.zeros(hi - lo)
-            for kernel in vertex_kernels:
-                block = element_block(kernel, block_index, lo, hi)
-                if kernel.target is None:
+            for target, _, _, min_cost_target, k in vertex_kernels:
+                block = element_block(k, target, block_index, lo, hi)
+                if target < 0:
                     acc = block
-                elif has_row[kernel.target]:
-                    acc = kernel.probs @ u_mirror.gather(kernel.target, block[0])
+                elif row_objects[target] is not None:
+                    acc = distributions[k].probabilities_array @ u_mirror.gather(
+                        target, block[0]
+                    )
                 else:
                     acc = block[1]
                     if acc is None:
-                        remaining = budgets[None, lo:hi] - kernel.costs[:, None]
-                        acc = kernel.probs @ (
-                            (remaining > 0) & (remaining >= kernel.min_cost_target)
+                        distribution = distributions[k]
+                        remaining = budgets[None, lo:hi] - distribution.values_array[:, None]
+                        acc = distribution.probabilities_array @ (
+                            (remaining > 0) & (remaining >= min_cost_target)
                         )
                         block[1] = acc
                 np.maximum(best, acc, out=best)
@@ -465,7 +492,6 @@ def build_heuristic_table(
     # ---------------------------------------------------------------- #
     # Gauss–Seidel sweeps over a dirty worklist
     # ---------------------------------------------------------------- #
-    max_sweeps = config.sweeps if config.sweeps is not None else _CONVERGENCE_SWEEP_CAP
     dirty = np.ones(n, dtype=bool)
     next_dirty = np.zeros(n, dtype=bool)
     sweeps_done = 0
@@ -478,13 +504,11 @@ def build_heuristic_table(
             previous = row_objects[position]
             if previous is not None and np.array_equal(previous.values, values):
                 continue
-            first_index = int(first_index_of[position])
-            row = HeuristicRow(first_index=first_index, values=values)
+            row = HeuristicRow._adopt(first_index_list[position], values)
             u_mirror.update(position, row)
             row_objects[position] = row
-            has_row[position] = True
             table.set_row(order[position], row)
-            for predecessor in predecessors[position]:
+            for predecessor in predecessors[position] if predecessors else ():
                 # Predecessors later in the current pass pick the change up
                 # immediately (Gauss–Seidel); earlier ones wait for the next.
                 if predecessor > position:
@@ -496,7 +520,6 @@ def build_heuristic_table(
         sweeps_done += 1
     table.sweeps_performed = sweeps_done
     return table
-
 
 class BudgetSpecificHeuristic(Heuristic):
     """The T-BS-δ heuristic: budget-specific probabilities from a pre-computed table."""

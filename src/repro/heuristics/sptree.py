@@ -18,7 +18,9 @@ T-path coverage) or different paths (prefer the cheaper one).
 
 The search runs directly on the forward PACE graph by traversing *incoming*
 elements (edges and T-paths), which is equivalent to building the reversed
-graph ``G_p_rev`` of the paper.
+graph ``G_p_rev`` of the paper.  It reads them from the reverse view of the
+graph's one element layout (:mod:`repro.core.layout`), which every
+destination's tree shares.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.elements import WeightedElement
 from repro.core.errors import UnknownVertexError
+from repro.core.layout import element_layout
 from repro.core.pace_graph import PaceGraph
 
 __all__ = ["SpTreeLabel", "PaceShortestPathTree", "build_pace_shortest_path_tree"]
@@ -80,18 +85,30 @@ class PaceShortestPathTree:
         return {v for v, label in self.labels.items() if label.c1 < float("inf")}
 
 
-def _count_tpath_edges(element: WeightedElement) -> int:
-    """``countEdges``: edges contributed by a T-path (0 for a plain edge)."""
-    return element.cardinality if not element.is_edge() else 0
-
-
 def build_pace_shortest_path_tree(
     pace_graph: PaceGraph, destination: int
 ) -> PaceShortestPathTree:
-    """Algorithm 2: a shortest-path tree from ``destination`` using edges and T-paths."""
+    """Algorithm 2: a shortest-path tree from ``destination`` using edges and T-paths.
+
+    The incoming elements of every popped vertex are read from the reverse
+    view of the graph's cached :class:`~repro.core.layout.ElementLayout`, in
+    ``incoming_elements`` order, so no element list is rebuilt per pop.
+    """
     network = pace_graph.network
     if not network.has_vertex(destination):
         raise UnknownVertexError(f"unknown destination vertex {destination}")
+
+    layout = element_layout(pace_graph)
+    row_of = layout.row_of
+    in_offsets = layout.in_offsets.tolist()
+    in_slots = layout.in_slots
+    slots = in_slots.tolist()
+    # Per incoming entry: the element's source, its least cost and
+    # ``countEdges`` — the edges a T-path contributes (0 for a plain edge).
+    sources = layout.sources[in_slots].tolist()
+    min_costs = layout.dist_min[in_slots].tolist()
+    tpath_edges = np.where(layout.is_edge, 0, layout.cardinality)[in_slots].tolist()
+    elements = layout.elements
 
     labels: dict[int, SpTreeLabel] = {
         vertex: SpTreeLabel(vertex=vertex, c1=float("inf"), c2=0, parent=None, via=None)
@@ -107,12 +124,13 @@ def build_pace_shortest_path_tree(
         if c1 > label.c1:
             continue  # stale queue entry
         # Expand every incoming element: traversing it backwards reaches its source vertex.
-        for element in pace_graph.incoming_elements(vertex):
-            neighbour = element.source
+        row = row_of[vertex]
+        for entry in range(in_offsets[row], in_offsets[row + 1]):
+            neighbour = sources[entry]
             if neighbour == destination:
                 continue
-            candidate_c1 = label.c1 + element.min_cost
-            candidate_c2 = label.c2 + _count_tpath_edges(element)
+            candidate_c1 = label.c1 + min_costs[entry]
+            candidate_c2 = label.c2 + tpath_edges[entry]
             current = labels[neighbour]
 
             better_c1 = candidate_c1 < current.c1
@@ -127,7 +145,9 @@ def build_pace_shortest_path_tree(
             elif (better_c1 and worse_c2) or (worse_c1 and better_c2):
                 # NON-DOMINATION: compare the underlying road paths.
                 old_path = current.forward_edges(labels)
-                new_path = tuple(element.path.edges) + labels[vertex].forward_edges(labels)
+                new_path = tuple(elements[slots[entry]].path.edges) + label.forward_edges(
+                    labels
+                )
                 if old_path == new_path:
                     update = candidate_c2 > current.c2
                 else:
@@ -136,7 +156,7 @@ def build_pace_shortest_path_tree(
                 current.c1 = candidate_c1
                 current.c2 = candidate_c2
                 current.parent = vertex
-                current.via = element
+                current.via = elements[slots[entry]]
                 counter += 1
                 heapq.heappush(heap, (candidate_c1, neighbour, counter))
 

@@ -80,6 +80,20 @@ class HeuristicRow:
         object.__setattr__(self, "values", array)
         object.__setattr__(self, "_scalar_cells", None)
 
+    @classmethod
+    def _adopt(cls, first_index: int, values: np.ndarray) -> "HeuristicRow":
+        """A row over a 1-D float64 array its builder just made and hands over.
+
+        Skips the copy and the checks of the public constructor: the array is
+        frozen in place, so the caller must hold no other writable view of it.
+        """
+        values.setflags(write=False)
+        row = object.__new__(cls)
+        object.__setattr__(row, "first_index", first_index)
+        object.__setattr__(row, "values", values)
+        object.__setattr__(row, "_scalar_cells", None)
+        return row
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeuristicRow):
             return NotImplemented

@@ -8,11 +8,12 @@ elements, and this module compiles that inner loop into bulk operations over
 a pre-enumerated layout:
 
 * :class:`FrontierAccelerator` — built once per graph (cached by content
-  fingerprint via :func:`accelerator_for`), it flattens every vertex's
-  ``outgoing_elements`` into CSR-style ndarrays: successor targets, element
-  min-costs (distribution minima and edge-graph minima), simple-path flags
-  and the elements' inner vertices for cycle masking.  A popped candidate's
-  entire successor set is one slice.
+  fingerprint via :func:`accelerator_for`), it reads every vertex's
+  ``outgoing_elements`` as CSR slots from the graph's one
+  :class:`~repro.core.layout.ElementLayout` (successor targets and
+  distribution minima) and adds the search-only columns: edge-graph minima,
+  simple-path flags and the elements' inner vertices for cycle masking.  A
+  popped candidate's entire successor set is one slice.
 
 * :class:`ExpansionKernel` — the per-query kernel of both graph families.
   It seeds the frontier and evaluates the cycle mask, the budget prune
@@ -73,6 +74,7 @@ import numpy as np
 from repro.core.distributions import Distribution
 from repro.core.elements import WeightedElement
 from repro.core.errors import PathError
+from repro.core.layout import ElementLayout, element_layout
 from repro.core.pace_graph import DEFAULT_MAX_CHAIN_STATES, PaceGraph
 from repro.core.paths import Path
 from repro.heuristics.base import Heuristic, max_prob_segments
@@ -95,13 +97,16 @@ GraphLike = PaceGraph | UpdatedPaceGraph
 
 
 class FrontierAccelerator:
-    """CSR-style flat ndarray layout over a graph's ``outgoing_elements``.
+    """The search's per-slot columns over a graph's :class:`ElementLayout`.
 
-    Built once per graph content (see :func:`accelerator_for`); all arrays are
-    indexed by *slot*, where the slots of vertex ``v``'s successor elements
-    are the contiguous range ``offsets[row(v)] : offsets[row(v) + 1]``, in
-    exactly the order ``graph.outgoing_elements(v)`` yields them (so the
+    Built once per graph content (see :func:`accelerator_for`); the slots,
+    their elements, targets and distribution minima are the graph's cached
+    :func:`~repro.core.layout.element_layout` (vertex ``v``'s successor
+    elements are the contiguous slot range of :meth:`ElementLayout.slot_range`,
+    in exactly the order ``graph.outgoing_elements(v)`` yields them, so the
     kernels push candidates in the same heap order as the scalar reference).
+    On top of it the accelerator keeps what only the search reads: edge-sum
+    minima, simple-path flags, cycle-check vertices and the memos.
     """
 
     def __init__(self, graph: GraphLike) -> None:
@@ -119,22 +124,9 @@ class FrontierAccelerator:
         self.crossing_pairs: frozenset[tuple[int, int]] = frozenset(
             pair for tpath in pace.tpaths() for pair in itertools.pairwise(tpath.path.edges)
         )
-        vertex_ids = sorted(pace.network.vertex_ids())
-        self._row_of: dict[int, int] = {v: i for i, v in enumerate(vertex_ids)}
-        elements: list[WeightedElement] = []
-        offsets = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
-        for row, vertex in enumerate(vertex_ids):
-            elements.extend(graph.outgoing_elements(vertex))
-            offsets[row + 1] = len(elements)
-        self.offsets: np.ndarray = offsets
-        self.elements: list[WeightedElement] = elements
+        self.layout: ElementLayout = element_layout(graph)
+        elements = self.layout.elements
         count = len(elements)
-        self.targets: np.ndarray = np.fromiter(
-            (e.path.target for e in elements), dtype=np.int64, count=count
-        )
-        self.dist_min: np.ndarray = np.fromiter(
-            (e.distribution.min() for e in elements), dtype=float, count=count
-        )
         self.edge_min: np.ndarray = np.fromiter(
             (pace.path_min_cost(e.path) for e in elements), dtype=float, count=count
         )
@@ -154,13 +146,6 @@ class FrontierAccelerator:
         ] = OrderedDict()
         self._convolutions: OrderedDict[tuple[bytes, bytes, int, int], Distribution] = OrderedDict()
 
-    def slot_range(self, vertex: int) -> tuple[int, int]:
-        """The slot range ``[lo, hi)`` of a vertex's successor elements."""
-        row = self._row_of.get(vertex)
-        if row is None:
-            return 0, 0
-        return int(self.offsets[row]), int(self.offsets[row + 1])
-
     def target_min_costs(self, heuristic: Heuristic) -> np.ndarray:
         """``getMin(target)`` per slot, cached per heuristic instance.
 
@@ -173,7 +158,7 @@ class FrontierAccelerator:
             cached = self._target_min_costs.get(heuristic)
         if cached is not None:
             return cached
-        values = np.asarray(heuristic.min_cost_many(self.targets), dtype=float)
+        values = np.asarray(heuristic.min_cost_many(self.layout.targets), dtype=float)
         values.setflags(write=False)
         with self._lock:
             existing = self._target_min_costs.get(heuristic)
@@ -728,21 +713,22 @@ class ExpansionKernel:
         #: may stop at its first pop at the destination.
         self.guided = guided
         self._convolving = isinstance(graph, UpdatedPaceGraph)
-        self._slot_min = accel.dist_min if self._convolving else accel.edge_min
+        self._layout = accel.layout
+        self._slot_min = accel.layout.dist_min if self._convolving else accel.edge_min
         self._target_min = accel.target_min_costs(heuristic)
 
     def seed(self, source: int) -> list[tuple[float, Candidate]]:
         """The initial frontier: one candidate per admissible element leaving ``source``."""
-        accel = self._accel
-        lo, hi = accel.slot_range(source)
-        keep = accel.simple[lo:hi] & ~(
-            accel.dist_min[lo:hi] + self._target_min[lo:hi] > self._budget
+        layout = self._layout
+        lo, hi = layout.slot_range(source)
+        keep = self._accel.simple[lo:hi] & ~(
+            layout.dist_min[lo:hi] + self._target_min[lo:hi] > self._budget
         )
         slots = np.flatnonzero(keep) + lo
         candidates = [
             Candidate(
-                accel.elements[slot].path,
-                accel.elements[slot].distribution,
+                layout.elements[slot].path,
+                layout.elements[slot].distribution,
                 float(self._slot_min[slot]),
             )
             for slot in slots.tolist()
@@ -752,8 +738,9 @@ class ExpansionKernel:
     def expand(self, candidate: Candidate) -> list[tuple[float, Candidate]]:
         """All surviving successors of a popped candidate, in element order."""
         accel = self._accel
+        elements = self._layout.elements
         path = candidate.path
-        lo, hi = accel.slot_range(path.target)
+        lo, hi = self._layout.slot_range(path.target)
         if hi == lo:
             return []
         visited = set(path.vertices)
@@ -774,7 +761,7 @@ class ExpansionKernel:
             parent_values = distribution.values_array.tobytes()
             parent_probs = distribution.probabilities_array.tobytes()
             for slot in slots.tolist():
-                element = accel.elements[slot]
+                element = elements[slot]
                 memo_key = (parent_values, parent_probs, slot, self._max_support)
                 child = accel.convolution_get(memo_key)
                 if child is None:
@@ -785,7 +772,7 @@ class ExpansionKernel:
                 children.append(Candidate(path.concat(element.path), child, child.min()))
         else:
             for slot in slots.tolist():
-                new_path = path.concat(accel.elements[slot].path)
+                new_path = path.concat(elements[slot].path)
                 child, trail = self._evaluate(new_path, candidate)
                 children.append(
                     Candidate(new_path, child, float(new_min_costs[slot - lo]), trail)
@@ -809,7 +796,7 @@ class ExpansionKernel:
             np.concatenate([c.distribution.values_array for c in candidates]),
             np.concatenate([c.distribution.probabilities_array for c in candidates]),
             np.cumsum([0, *(len(c.distribution) for c in candidates)]),
-            self._accel.targets[slots],
+            self._layout.targets[slots],
             self._heuristic,
             budget,
         )

@@ -12,12 +12,19 @@ The graphs exercised here include random directed graphs with cycles
 (multi-sweep convergence), random T-paths on top of the edges, fractional
 ``δ`` grids, both grid roundings, and the mined PACE model of the synthetic
 test city.
+
+:class:`TestTableBytesPinned` additionally pins the exact bytes of every
+T-BS-60 and V-BS-60 table of the ``tiny`` recipe, so a change to how the
+builder is set up or scheduled cannot move a single bit of a table.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from repro.core.distributions import Distribution
@@ -28,6 +35,7 @@ from repro.heuristics._scalar_reference import build_heuristic_table_scalar
 from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, build_heuristic_table
 from repro.network.road_network import RoadNetwork
+from repro.routing import DatasetRecipe, RouterSettings
 
 #: Numpy dot products and the scalar accumulation loop round differently; at
 #: a fixpoint the saturation threshold can additionally flip a 1-ulp-sized
@@ -181,3 +189,45 @@ class TestVectorizedAgainstScalarReference:
         for vertex in pace.network.vertex_ids():
             for column in range(0, 16):
                 assert again.value(vertex, column * 2.0) == converged.value(vertex, column * 2.0)
+
+
+#: blake2b-128 over every T-BS-60 and V-BS-60 table of the ``tiny`` recipe
+#: (τ=20, ``max_budget=900``), one sweep and converged; see ``_tables_digest``.
+#: At δ=60 every tiny-city row ends inside the builder's scalar head, so the
+#: digest is plain Python float arithmetic and does not depend on the BLAS.
+TINY_BS60_TABLES_DIGEST = "e0afd5ccacd5da12f19e916873be2147"
+
+
+def _tables_digest(delta: float) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    for sweeps in (1, None):
+        engine = DatasetRecipe(dataset="tiny", regime="peak", tau=20).build_engine(
+            settings=RouterSettings(max_budget=900.0, heuristic_sweeps=sweeps)
+        )
+        destinations = sorted(engine.pace_graph.network.vertex_ids())
+        for family, graph in (("T", engine.pace_graph), ("V", engine.updated_graph)):
+            engine.prewarm(f"{family}-BS-{delta:g}", destinations)
+            fingerprint = graph.content_fingerprint()
+            tables = {
+                key[-1]: heuristic.table
+                for key, heuristic in engine.heuristic_cache.snapshot().items()
+                if key[0] == "budget" and key[2] == fingerprint
+            }
+            assert sorted(tables) == destinations
+            for destination in destinations:
+                table = tables[destination]
+                digest.update(
+                    struct.pack(
+                        "<qdqq", table.destination, table.delta, table.eta, table.sweeps_performed
+                    )
+                )
+                for vertex in sorted(table.rows):
+                    row = table.rows[vertex]
+                    digest.update(struct.pack("<qqq", vertex, row.first_index, row.values.size))
+                    digest.update(np.ascontiguousarray(row.values, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+class TestTableBytesPinned:
+    def test_tiny_recipe_bs60_tables_are_byte_identical(self):
+        assert _tables_digest(60.0) == TINY_BS60_TABLES_DIGEST
