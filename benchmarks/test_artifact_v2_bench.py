@@ -8,10 +8,13 @@ creation — raises traced memory by half the size of a dense ``V × (η+1)``
 float64 matrix, the working structure the band-compressed rows replaced.
 (Half, because the builder's rows cover only the vertices that reach the
 destination; the band build's largest step is about a tenth of it.)  A
-change that brought such an allocation back fails here.  The report sets
-the largest step and the build's whole peak next to the stored band cells
-and that analytic dense size.  The tables themselves are pinned to the
-scalar reference builder by ``tests/test_heuristic_reference.py``.
+change that brought such an allocation back fails here.  The table is built
+twice: the first build over the graph also pays one-time per-graph work
+(the graph's element layout and edge-element memo), the second, warm build
+is the steady per-destination cost.  The report sets both builds' largest
+step and whole peak next to the stored band cells and that analytic dense
+size; the gate reads the first build.  The tables themselves are pinned to
+the scalar reference builder by ``tests/test_heuristic_reference.py``.
 
 The report is written to ``results/artifact_v2_bench.txt``.
 """
@@ -73,6 +76,8 @@ def test_band_memory(city_store):
         sweeps=COUNTRY.heuristic_sweeps,
     )
     band_table, band_peak, largest_step = _traced_build(pace, destination, config)
+    warm_table, warm_peak, warm_step = _traced_build(pace, destination, config)
+    assert warm_table.rows == band_table.rows
     dense_matrix_bytes = len(vertices) * (config.eta + 1) * 8
 
     report = render_report(
@@ -80,8 +85,10 @@ def test_band_memory(city_store):
         ("metric", "value"),
         [
             ("memory grid (delta / eta)", f"{COUNTRY.delta:g} / {config.eta}"),
-            ("band build peak (KB)", round(band_peak / 1024.0, 1)),
-            ("largest single build step (KB)", round(largest_step / 1024.0, 1)),
+            ("band build peak, first build (KB)", round(band_peak / 1024.0, 1)),
+            ("band build peak, warm build (KB)", round(warm_peak / 1024.0, 1)),
+            ("largest single build step, first build (KB)", round(largest_step / 1024.0, 1)),
+            ("largest single build step, warm build (KB)", round(warm_step / 1024.0, 1)),
             ("dense U matrix alone (KB)", round(dense_matrix_bytes / 1024.0, 1)),
             ("stored band cells", band_table.storage_cells()),
         ],

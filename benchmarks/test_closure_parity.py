@@ -2,7 +2,7 @@
 
 The V-path closure (Section 4.1) is built from the Eq. 1 assembly ``⋄``.
 :meth:`repro.core.joint.JointDistribution.assemble` evaluates it as a hash
-join on the overlap; :func:`repro.core._scalar_reference.assemble_reference`
+join on the overlap; :func:`tests.oracles.core.assemble_reference`
 keeps the original nested loop.  Both must visit the same outcome pairs in
 the same order, so the closure they build is bit-for-bit the same.  This
 check builds the aalborg-like (peak, τ = 50) closure with each and compares
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core._scalar_reference import assemble_reference
+from tests.oracles.core import assemble_reference
 from repro.core.joint import JointDistribution
 from repro.datasets.synthetic import aalborg_like
 from repro.evaluation.experiments import ExperimentScale

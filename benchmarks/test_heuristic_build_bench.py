@@ -17,7 +17,7 @@ wide-spread (congestion-style) edge distributions, so rows store wide
 
 The acceptance bar for the NumPy rewrite is a >= 3x speed-up over the seed's
 cell-at-a-time implementation (preserved verbatim in
-:mod:`repro.heuristics._scalar_reference`) on the convergent build; in
+:mod:`tests.oracles.heuristics`) on the convergent build; in
 practice the margin is far larger.  Both builders must agree cell-for-cell
 before being timed.  A report with the measured timings is written to
 ``results/``.
@@ -32,7 +32,7 @@ from repro.core.distributions import Distribution
 from repro.core.edge_graph import EdgeGraph
 from repro.core.pace_graph import PaceGraph
 from repro.evaluation.reporting import render_report, write_report
-from repro.heuristics._scalar_reference import build_heuristic_table_scalar
+from tests.oracles.heuristics import build_heuristic_table_scalar
 from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, build_heuristic_table
 from repro.network.generators import GridCityConfig, generate_grid_city

@@ -10,7 +10,7 @@ benchmark times exactly that workload on both kernels:
 
 The acceptance bar for the NumPy rewrite is a >= 3x speed-up over the seed's
 dict/tuple-scan implementation (preserved verbatim in
-:mod:`repro.core._scalar_reference`); in practice the margin is far larger.
+:mod:`tests.oracles.core`); in practice the margin is far larger.
 A report with the measured timings is written to ``results/``.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import time
 
-from repro.core._scalar_reference import ScalarDistribution
+from tests.oracles.core import ScalarDistribution
 from repro.core.distributions import Distribution
 from repro.evaluation.reporting import render_report, write_report
 

@@ -10,7 +10,7 @@ measures what that buys on the shared city store for the guided methods the
 paper's online phase runs — one binary-guided and one budget-guided T-path
 method plus the guided V-path method — and for the exhaustive baselines
 T-None and V-None, routing the same long-haul workload
-through the scalar reference loop (:mod:`repro.routing._scalar_reference`)
+through the scalar reference loop (:mod:`tests.oracles.routing`)
 and through the router, with the router's heuristic instances (so only the
 search loop differs).
 
@@ -39,7 +39,7 @@ import time
 
 from repro.evaluation.reporting import render_report, write_report
 from repro.routing import RoutingEngine
-from repro.routing._scalar_reference import route_scalar
+from tests.oracles.routing import route_scalar
 from repro.routing.accel import accelerator_for
 from repro.routing.engine import create_router
 

@@ -15,7 +15,8 @@ This module provides:
 * exact path-cost evaluation under the PACE semantics, both as a full joint
   (:meth:`PaceGraph.path_joint_distribution`) and as a memory-friendly
   incremental chain over the coarsest sequence
-  (:meth:`PaceGraph.path_cost_distribution`).
+  (:meth:`PaceGraph.path_cost_distribution`, which runs the one chain fold
+  of :mod:`repro.core.chain`).
 """
 
 from __future__ import annotations
@@ -26,21 +27,22 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from repro.core.chain import (
+    DEFAULT_MAX_CHAIN_STATES,
+    FoldPlans,
+    chain_step,
+    finish_states,
+    seed_states,
+)
 from repro.core.distributions import Distribution
 from repro.core.edge_graph import EdgeGraph
 from repro.core.elements import ElementKind, WeightedElement
-from repro.core.errors import GraphError, PathError
+from repro.core.errors import GraphError
 from repro.core.joint import JointDistribution
 from repro.core.paths import Path
 from repro.network.road_network import RoadNetwork
 
 __all__ = ["PaceGraph", "DEFAULT_MAX_CHAIN_STATES"]
-
-#: Default bound on the (last-element outcome, total) states kept while
-#: walking a coarsest sequence (see :meth:`PaceGraph.path_cost_distribution`).
-#: The frontier accelerator resumes chains from checkpoints and must prune
-#: with exactly the same bound to stay result-identical.
-DEFAULT_MAX_CHAIN_STATES = 4096
 
 
 class PaceGraph:
@@ -58,6 +60,7 @@ class PaceGraph:
         self._fingerprint: str | None = None
         self._max_cardinality: int | None = None
         self._edge_elements: dict[int, WeightedElement] = {}
+        self._fold_plans = FoldPlans()
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -125,6 +128,15 @@ class PaceGraph:
             )
         return self._max_cardinality
 
+    @property
+    def fold_plans(self) -> FoldPlans:
+        """The chain-fold plans of this graph's content (see :mod:`repro.core.chain`).
+
+        :meth:`path_cost_distribution` and the routers' frontier kernel fold
+        through the same memo; :meth:`add_tpath` starts a fresh one.
+        """
+        return self._fold_plans
+
     def content_fingerprint(self) -> str:
         """A stable digest of everything routing-relevant in this graph.
 
@@ -186,6 +198,7 @@ class PaceGraph:
             )
         self._fingerprint = None
         self._max_cardinality = None
+        self._fold_plans = FoldPlans()
         if path.cardinality == 1:
             self._edge_graph.set_weight(path.edges[0], joint.total_cost_distribution())
             return self.edge_element(path.edges[0])
@@ -343,113 +356,19 @@ class PaceGraph:
         the closest surviving total, which keeps long-path evaluation fast at
         a negligible accuracy cost.  ``max_support`` optionally compresses the
         final distribution.
+
+        The fold is :mod:`repro.core.chain`; every caller — the V routers'
+        final re-evaluation, the accuracy and case-study experiments — gets
+        the bits the routers' frontier kernel computes when it resumes the
+        same fold from a candidate's checkpoints.
         """
         sequence = self.coarsest_sequence(path)
-        states = self.seed_chain_states(sequence[0])
+        states = seed_states(sequence[0])
         previous = sequence[0]
         for element in sequence[1:]:
-            states = self.chain_step(states, previous, element, max_states)
+            states = chain_step(self._fold_plans, states, previous, element, max_states)
             previous = element
-        return self.finish_chain_states(states, max_support)
-
-    # The three pieces below are the state-chain walk of
-    # :meth:`path_cost_distribution`, split so callers holding a partially
-    # evaluated chain (the frontier accelerator's per-candidate checkpoints)
-    # can resume it over a CPS tail instead of recomputing the whole path.
-    # Every step builds fresh dicts, so a shared checkpoint is never mutated
-    # by the children extending it.
-
-    def seed_chain_states(
-        self, first: WeightedElement
-    ) -> dict[tuple[float, ...], dict[float, float]]:
-        """The chain state after the first CPS element.
-
-        State shape: (cost vector of the last element) -> {accumulated total
-        -> probability}.
-        """
-        states: dict[tuple[float, ...], dict[float, float]] = {}
-        for costs, prob in first.joint_distribution().items():
-            states.setdefault(costs, {})[sum(costs)] = (
-                states.get(costs, {}).get(sum(costs), 0.0) + prob
-            )
-        return states
-
-    def chain_step(
-        self,
-        states: dict[tuple[float, ...], dict[float, float]],
-        previous: WeightedElement,
-        element: WeightedElement,
-        max_states: int | None,
-    ) -> dict[tuple[float, ...], dict[float, float]]:
-        """Advance the chain by one CPS element (conditioning on the overlap).
-
-        This is the plain-dict reference fold.  The routers' frontier
-        accelerator re-implements it as an array-native kernel
-        (:mod:`repro.routing.accel`) that performs the identical float
-        operations in the identical order; the parity suite pins the two
-        bitwise equal.  This one stays free of ndarray staging: it is what
-        :meth:`path_cost_distribution` runs for T-None, for the V routers'
-        final PACE re-evaluation and for the scalar reference search
-        (:mod:`repro.routing._scalar_reference`).
-        """
-        overlap = previous.path.overlap_with(element.path)
-        element_joint = element.joint_distribution()
-        new_states: dict[tuple[float, ...], dict[float, float]] = {}
-        if overlap is None:
-            for costs_next, prob_next in element_joint.items():
-                added = sum(costs_next)
-                bucket = new_states.setdefault(costs_next, {})
-                for totals in states.values():
-                    for total, prob in totals.items():
-                        key = total + added
-                        bucket[key] = bucket.get(key, 0.0) + prob * prob_next
-        else:
-            overlap_edges = overlap.edges
-            overlap_count = len(overlap_edges)
-            prev_positions = [previous.path.edges.index(e) for e in overlap_edges]
-            overlap_marginal = element_joint.marginal(overlap_edges)
-            for costs_next, prob_next in element_joint.items():
-                overlap_costs = costs_next[:overlap_count]
-                denominator = overlap_marginal.probability_of(overlap_costs)
-                if denominator <= 0:
-                    continue
-                added = sum(costs_next[overlap_count:])
-                conditional = prob_next / denominator
-                bucket = new_states.setdefault(costs_next, {})
-                for costs_prev, totals in states.items():
-                    if tuple(costs_prev[i] for i in prev_positions) != overlap_costs:
-                        continue
-                    for total, prob in totals.items():
-                        key = total + added
-                        bucket[key] = bucket.get(key, 0.0) + prob * conditional
-        result = {costs: totals for costs, totals in new_states.items() if totals}
-        if not result:
-            raise PathError(
-                "path cost evaluation lost all probability mass; the T-path joints are "
-                "mutually inconsistent on their overlaps"
-            )
-        if max_states is not None:
-            result = _prune_states(result, max_states)
-        return result
-
-    def finish_chain_states(
-        self,
-        states: dict[tuple[float, ...], dict[float, float]],
-        max_support: int | None,
-    ) -> Distribution:
-        """Collapse chain states into the path's total-cost distribution.
-
-        Like :meth:`chain_step`, this is the plain-dict reference; the
-        accelerator's array-native collapse must match it bitwise.
-        """
-        accumulator: dict[float, float] = {}
-        for totals in states.values():
-            for total, prob in totals.items():
-                accumulator[total] = accumulator.get(total, 0.0) + prob
-        result = Distribution(accumulator.items(), normalise=True)
-        if max_support is not None and len(result) > max_support:
-            result = result.compress(max_support)
-        return result
+        return finish_states(states, max_support)
 
     def path_expected_cost(self, path: Path) -> float:
         """Expected travel cost of a path under PACE semantics."""
@@ -477,37 +396,3 @@ def _hash_distribution(digest, distribution: Distribution) -> None:
     _hash_floats(digest, distribution.values_array)
     _hash_floats(digest, distribution.probabilities_array)
 
-
-def _prune_states(
-    states: dict[tuple[float, ...], dict[float, float]], max_states: int
-) -> dict[tuple[float, ...], dict[float, float]]:
-    """Keep at most ``max_states`` (outcome, total) entries, merging the rest.
-
-    Low-probability totals are folded into the most likely total of the same
-    outcome so probability mass (and approximately the mean) is preserved.
-    """
-    flat = [
-        (prob, costs, total)
-        for costs, totals in states.items()
-        for total, prob in totals.items()
-    ]
-    if len(flat) <= max_states:
-        return states
-    flat.sort(reverse=True)
-    kept = flat[:max_states]
-    dropped = flat[max_states:]
-    pruned: dict[tuple[float, ...], dict[float, float]] = {}
-    for prob, costs, total in kept:
-        pruned.setdefault(costs, {})[total] = pruned.get(costs, {}).get(total, 0.0) + prob
-    for prob, costs, total in dropped:
-        bucket = pruned.get(costs)
-        if bucket:
-            # merge onto the nearest surviving total of the same outcome
-            nearest = min(bucket, key=lambda t, total=total: abs(t - total))
-            bucket[nearest] += prob
-        else:
-            # outcome lost entirely: fold into the globally most likely state
-            top_costs = kept[0][1]
-            top_total = kept[0][2]
-            pruned[top_costs][top_total] += prob
-    return pruned

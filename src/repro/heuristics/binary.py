@@ -34,6 +34,9 @@ __all__ = [
     "PaceBinaryHeuristic",
 ]
 
+#: The size of one boxed ``getMin`` value (see :meth:`BinaryHeuristic.storage_bytes`).
+_FLOAT_BYTES = sys.getsizeof(0.0)
+
 
 class BinaryHeuristic(Heuristic):
     """Base class: ``U(v, x) = 1`` iff ``x >= getMin(v)``, from a pre-computed cost map."""
@@ -88,10 +91,13 @@ class BinaryHeuristic(Heuristic):
         return np.where(budgets >= self.min_cost_many(vertices), 1.0, 0.0)
 
     def storage_bytes(self) -> int:
-        """One numeric ``getMin`` value per vertex, as the paper accounts storage."""
-        return sum(sys.getsizeof(v) for v in self._min_costs.values()) + sys.getsizeof(
-            self._min_costs
-        )
+        """One numeric ``getMin`` value per vertex, as the paper accounts storage.
+
+        Every value is a Python float — the builders add and divide floats
+        and the persisted columns decode to floats — so the map's values
+        take ``len * sys.getsizeof(0.0)`` bytes, counted without walking them.
+        """
+        return len(self._min_costs) * _FLOAT_BYTES + sys.getsizeof(self._min_costs)
 
 
 class EuclideanBinaryHeuristic(BinaryHeuristic):

@@ -67,12 +67,13 @@ peak: the gather offsets memoized per element (one int64 per support point
 and budget column, for every block of every element) dominate it and grow
 linearly with η.  On the benchmarks' aalborg-like city (τ=30, converged
 sweeps, measured with the tracing of ``benchmarks/test_artifact_v2_bench.py``),
-one destination's traced peak is 575 / 922 / 1559 KB at η = 250 / 500 / 1000
-while its stored band cells take about 5 / 14 / 28 KB; the first build over
-a graph also pays one-time work, enumerating the graph's element layout
-among it, which adds about 170 KB to that build's peak.  The offsets stay
-int64 because a narrower dtype would add an ``intp`` cast to every gather.
-``benchmarks/test_artifact_v2_bench.py`` reports the build's peak memory;
+a warm build of one destination's table peaks at 577 / 925 / 1562 KB at
+η = 250 / 500 / 1000 while its stored band cells take about 5 / 14 / 28 KB;
+the first build over a graph also pays one-time work, enumerating the
+graph's element layout among it, which adds 160–220 KB to that build's
+peak.  The offsets stay int64 because a narrower dtype would add an
+``intp`` cast to every gather.  ``benchmarks/test_artifact_v2_bench.py``
+reports the peak memory of a first and a warm build;
 ``tests/test_heuristic_reference.py`` pins the tables to the scalar
 reference builder, and the ``tiny`` recipe's δ=60 tables to a byte digest.
 
@@ -83,8 +84,8 @@ and the build stops as soon as a pass is a no-op — safe because Eq. 5 is
 monotone, so re-evaluating a row whose inputs did not change cannot change
 it.  ``BudgetHeuristicConfig.sweeps`` caps the number of passes
 (``sweeps=None`` runs to the fixpoint).  The pre-rewrite cell-at-a-time
-builder is preserved in :mod:`repro.heuristics._scalar_reference` as the
-property-test oracle and benchmark baseline.
+builder is kept in ``tests/oracles/heuristics.py`` as the property-test
+oracle and benchmark baseline.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ from repro.heuristics.base import Heuristic
 from repro.heuristics.binary import BinaryHeuristic, PaceBinaryHeuristic
 from repro.heuristics.tables import (
     _CEIL_EPSILON,
-    _FLOOR_EPSILON,
     HeuristicRow,
     HeuristicTable,
     columns_for_budgets,
@@ -132,7 +132,6 @@ class BudgetHeuristicConfig:
     delta: float = 60.0
     max_budget: float = 5000.0
     sweeps: int | None = 2
-    grid_rounding: str = "ceil"
 
     def validate(self) -> None:
         if self.delta <= 0:
@@ -141,8 +140,6 @@ class BudgetHeuristicConfig:
             raise ConfigurationError("max_budget must be at least delta")
         if self.sweeps is not None and self.sweeps < 1:
             raise ConfigurationError("at least one sweep is required")
-        if self.grid_rounding not in ("ceil", "floor"):
-            raise ConfigurationError("grid_rounding must be 'ceil' or 'floor'")
 
     @property
     def eta(self) -> int:
@@ -238,7 +235,6 @@ def build_heuristic_table(
     )
     eta = config.eta
     delta = config.delta
-    rounding = config.grid_rounding
     table = HeuristicTable(destination=destination, delta=delta, eta=eta)
 
     # Destination row: probability 1 for every budget (second observation in the paper).
@@ -265,8 +261,8 @@ def build_heuristic_table(
     order = layout.vertex_ids[order_rows].tolist()
     position_of_row = np.full(len(layout.vertex_ids), -1, dtype=np.int64)
     position_of_row[order_rows] = np.arange(n)
-    # A row's first stored column is the column of its getMin (``column_for``
-    # with the default ceil rounding), at least 1.
+    # A row's first stored column is the column of its getMin (``column_for``),
+    # at least 1.
     first_index_of = np.maximum(1, columns_for_budgets(min_costs[order_rows], delta))
 
     # The outgoing slots of every ordered vertex, position by position: each
@@ -353,9 +349,9 @@ def build_heuristic_table(
                 # Destination target: U is 1 whenever any residual budget remains.
                 kernel_blocks.append(distribution.probabilities_array @ (remaining >= 0.0))
             else:
-                cols = np.minimum(
-                    columns_for_budgets(remaining, delta, rounding=rounding), eta
-                ).astype(np.int64, copy=False)
+                cols = np.minimum(columns_for_budgets(remaining, delta), eta).astype(
+                    np.int64, copy=False
+                )
                 # The binary fallback is only read while the target row does
                 # not exist yet — rare, since successors (smaller getMin) are
                 # swept first — so it is filled lazily on first use.  The
@@ -374,16 +370,12 @@ def build_heuristic_table(
     first_index_list = first_index_of.tolist()
 
     budget_list = budgets.tolist()
-    if rounding == "floor":
-        def scalar_column(residual: float) -> int:
-            column = math.floor(residual / delta + _FLOOR_EPSILON)
-            return column if column < eta else eta
-    else:
-        def scalar_column(residual: float) -> int:
-            column = math.ceil(residual / delta - _CEIL_EPSILON)
-            if column < 1:
-                column = 1
-            return column if column < eta else eta
+
+    def scalar_column(residual: float) -> int:
+        column = math.ceil(residual / delta - _CEIL_EPSILON)
+        if column < 1:
+            column = 1
+        return column if column < eta else eta
 
     def compute_head(position: int, stop: int) -> tuple[list[float], bool]:
         """Seed-style scalar evaluation of the first few columns of a row."""
@@ -589,16 +581,6 @@ class BudgetSpecificHeuristic(Heuristic):
         return self._config.delta
 
     @property
-    def grid_rounding(self) -> str:
-        """How the table's cells were rounded onto the grid when built.
-
-        ``"ceil"`` tables are admissible; ``"floor"`` tables (the paper's
-        Table 4 mode) may slightly under-estimate and must not be served
-        where admissibility is required.
-        """
-        return self._config.grid_rounding
-
-    @property
     def build_seconds(self) -> float:
         """Wall-clock time spent building the table (Fig. 12 / Table 9)."""
         return self._build_seconds
@@ -616,9 +598,8 @@ class BudgetSpecificHeuristic(Heuristic):
             return 1.0 if remaining_budget >= 0 else 0.0
         if remaining_budget < self.min_cost(vertex):
             return 0.0
-        # Online queries always round the residual budget up to the grid ("ceil"), which
-        # keeps the heuristic admissible regardless of how the table itself was built.
-        return self._table.value(vertex, remaining_budget, rounding="ceil")
+        # The residual budget is rounded up to the grid, which keeps the bound admissible.
+        return self._table.value(vertex, remaining_budget)
 
     def min_cost_many(self, vertices) -> np.ndarray:
         return self._binary.min_cost_many(vertices)
@@ -626,7 +607,7 @@ class BudgetSpecificHeuristic(Heuristic):
     def probability_many(self, vertices, budgets) -> np.ndarray:
         """Vectorized :meth:`probability` over paired (vertex, budget) arrays."""
         budgets = np.asarray(budgets, dtype=float)
-        values = self._table.values_at_many(vertices, budgets, rounding="ceil")
+        values = self._table.values_at_many(vertices, budgets)
         return np.where(budgets < self._binary.min_cost_many(vertices), 0.0, values)
 
     def storage_bytes(self) -> int:

@@ -29,28 +29,19 @@ __all__ = ["HeuristicRow", "HeuristicTable", "columns_for_budgets"]
 
 #: Tolerance of the ceil column rounding (relative to the budget/δ ratio).
 _CEIL_EPSILON = 1e-12
-#: Tolerance of the floor column rounding.  Float division makes exact grid
-#: multiples land just below the integer (``0.3 / 0.1 == 2.999...96``), so the
-#: ratio is nudged up before flooring — the same fix ``BudgetHeuristicConfig.eta``
-#: applies to the ceil direction.
-_FLOOR_EPSILON = 1e-9
 
 
-def columns_for_budgets(budgets, delta: float, *, rounding: str = "ceil") -> np.ndarray:
+def columns_for_budgets(budgets, delta: float) -> np.ndarray:
     """Vectorized :meth:`HeuristicTable.column_for` over an array of budgets.
 
     Returns one 0-based-for-zero / 1-based-for-grid column index per budget:
-    non-positive budgets map to column 0, positive budgets to the grid column
-    selected by ``rounding`` (see :meth:`HeuristicTable.column_for`).  The
-    Bellman kernel uses this to translate whole ``budget - cost`` matrices
-    into gather indices in one pass.
+    non-positive budgets map to column 0, positive budgets to the smallest
+    grid column at or above them (see :meth:`HeuristicTable.column_for`).
+    The Bellman kernel uses this to translate whole ``budget - cost``
+    matrices into gather indices in one pass.
     """
     budgets = np.asarray(budgets, dtype=float)
-    ratio = budgets / delta
-    if rounding == "floor":
-        columns = np.floor(ratio + _FLOOR_EPSILON)
-    else:
-        columns = np.maximum(1.0, np.ceil(ratio - _CEIL_EPSILON))
+    columns = np.maximum(1.0, np.ceil(budgets / delta - _CEIL_EPSILON))
     return np.where(budgets <= 0, 0, columns.astype(np.int64))
 
 
@@ -168,34 +159,26 @@ class HeuristicTable:
         """The largest budget represented by the table, ``η · δ``."""
         return self.eta * self.delta
 
-    def column_for(self, budget: float, *, rounding: str = "ceil") -> int:
+    def column_for(self, budget: float) -> int:
         """The column used to answer a query for ``budget``.
 
-        ``rounding="ceil"`` maps to the smallest grid value >= ``budget``:
-        because rows are non-decreasing in the budget this never
-        under-estimates ``U``, so admissibility is preserved for budgets
-        between grid points.  ``rounding="floor"`` maps to the largest grid
-        value <= ``budget``, which is how the paper's worked example
-        (Table 4) evaluates the recursion and gives tighter (but potentially
-        slightly under-estimating) values.
-
-        Both directions are computed from the rounded ``budget / delta``
-        ratio; plain float ``//`` misfires on fractional grids
-        (``0.3 // 0.1 == 2.0``) because exact grid multiples divide to just
-        below the integer.
+        The smallest grid value >= ``budget``: because rows are
+        non-decreasing in the budget this never under-estimates ``U``, so
+        admissibility is preserved for budgets between grid points.  It is
+        computed from the rounded ``budget / delta`` ratio; plain float
+        ``//`` misfires on fractional grids (``0.3 // 0.1 == 2.0``) because
+        exact grid multiples divide to just below the integer.
         """
         if budget <= 0:
             return 0
-        if rounding == "floor":
-            return math.floor(budget / self.delta + _FLOOR_EPSILON)
         return max(1, math.ceil(budget / self.delta - _CEIL_EPSILON))
 
     def set_row(self, vertex: int, row: HeuristicRow) -> None:
         self.rows[vertex] = row
         self._flat = None
 
-    def value(self, vertex: int, budget: float, *, rounding: str = "ceil") -> float:
-        """``U(vertex, budget)`` with the selected grid rounding."""
+    def value(self, vertex: int, budget: float) -> float:
+        """``U(vertex, budget)``, read at the grid column :meth:`column_for` picks."""
         if budget < 0:
             return 0.0
         if vertex == self.destination:
@@ -206,7 +189,7 @@ class HeuristicTable:
         if row is None:
             # Unknown vertex: fall back to the admissible (but useless) bound of 1.
             return 1.0
-        column = self.column_for(budget, rounding=rounding)
+        column = self.column_for(budget)
         if column > self.eta:
             column = self.eta
         return row.value_at_column(column)
@@ -233,7 +216,7 @@ class HeuristicTable:
             self._flat = flat
         return flat
 
-    def values_at_many(self, vertices, budgets, *, rounding: str = "ceil") -> np.ndarray:
+    def values_at_many(self, vertices, budgets) -> np.ndarray:
         """Vectorized :meth:`value` over paired (vertex, budget) arrays.
 
         One call answers ``U(v_k, x_k)`` for every pair, which is how the
@@ -243,7 +226,7 @@ class HeuristicTable:
         vertices = np.asarray(vertices, dtype=np.int64)
         budgets = np.asarray(budgets, dtype=float)
         ids, first, sizes, starts, flat_values = self._flat_rows()
-        columns = np.minimum(columns_for_budgets(budgets, self.delta, rounding=rounding), self.eta)
+        columns = np.minimum(columns_for_budgets(budgets, self.delta), self.eta)
         if len(ids) == 0:
             found = np.zeros(len(vertices), dtype=bool)
             gathered = np.zeros(len(vertices))

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.errors import ConfigurationError, DataError, HeuristicError
 from repro.heuristics.binary import BinaryHeuristic
-from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
+from repro.heuristics.budget import BudgetSpecificHeuristic
 from repro.heuristics.tables import HeuristicRow, HeuristicTable
 from repro.persistence.codecs import (
     ColumnDocumentReader,
@@ -108,6 +108,10 @@ class HeuristicEntry:
     graph_fingerprint: str | None = None
     #: Vertex/edge/T-path (and V-path) counts of that graph.
     graph_signature: tuple[int, ...] | None = None
+    #: False for a budget table whose document records the paper's floor
+    #: grid rounding (see :func:`_rounding_admissible`): its cells may
+    #: under-estimate, so engines skip it and rebuild the table on demand.
+    admissible: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.heuristic, _KIND_CLASSES[self.slot.kind]):
@@ -125,8 +129,27 @@ class HeuristicEntry:
         return self.slot.key
 
 
+def _rounding_admissible(rounding: object, *, what: str) -> bool:
+    """Whether a budget table document's ``grid_rounding`` gives admissible bounds.
+
+    Tables are built rounding residual budgets up the grid (``"ceil"``), and
+    documents record that.  A document recording ``"floor"`` — the rounding
+    of the paper's Table 4 worked example, written by earlier releases — holds
+    cells that may under-estimate ``U``.  Any other value makes the ``what``
+    document malformed.
+    """
+    if rounding == "ceil":
+        return True
+    if rounding == "floor":
+        return False
+    raise DataError(f"malformed {what}: unknown grid_rounding {rounding!r}")
+
+
 def entry_from_tags(
-    tags: dict, heuristic: BinaryHeuristic | BudgetSpecificHeuristic
+    tags: dict,
+    heuristic: BinaryHeuristic | BudgetSpecificHeuristic,
+    *,
+    admissible: bool = True,
 ) -> HeuristicEntry:
     """The entry a document's tags describe, holding its decoded ``heuristic``."""
     try:
@@ -143,6 +166,7 @@ def entry_from_tags(
             heuristic,
             graph_fingerprint=tags.get("graph_fingerprint"),
             graph_signature=None if signature is None else tuple(signature),
+            admissible=admissible,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed heuristic entry tags: {exc}") from exc
@@ -187,7 +211,7 @@ def encode_heuristic_entry(entry: HeuristicEntry) -> bytes:
     heuristic = entry.heuristic
     if isinstance(heuristic, BudgetSpecificHeuristic):
         table = heuristic.table
-        meta["grid_rounding"] = heuristic.grid_rounding
+        meta["grid_rounding"] = "ceil" if entry.admissible else "floor"
         meta["table"] = {"destination": table.destination, "delta": table.delta, "eta": table.eta}
         meta["binary_destination"] = heuristic.binary.destination
         rows = sorted(table.rows.items())
@@ -243,11 +267,8 @@ def _budget_from_columns(meta: dict, columns: dict[str, np.ndarray]) -> BudgetSp
     table = HeuristicTable(
         destination=layout["destination"], delta=layout["delta"], eta=layout["eta"], rows=rows
     )
-    config = BudgetHeuristicConfig(
-        delta=table.delta, max_budget=table.max_budget, grid_rounding=meta["grid_rounding"]
-    )
     binary = _binary_from_columns(meta["binary_destination"], columns)
-    return BudgetSpecificHeuristic.from_table(table, binary=binary, config=config)
+    return BudgetSpecificHeuristic.from_table(table, binary=binary)
 
 
 def decode_heuristic_entry(data: bytes) -> HeuristicEntry:
@@ -275,14 +296,18 @@ def _entry_from_meta_columns(meta: dict, columns: dict[str, np.ndarray]) -> Heur
     try:
         tags = meta["tags"]
         kind = tags["kind"]
+        admissible = True
         if kind == "binary":
             heuristic: BinaryHeuristic | BudgetSpecificHeuristic = _binary_from_columns(
                 meta["destination"], columns
             )
         elif kind == "budget":
             heuristic = _budget_from_columns(meta, columns)
+            admissible = _rounding_admissible(
+                meta["grid_rounding"], what="heuristic entry document"
+            )
         else:
             raise DataError(f"unknown heuristic entry kind {kind!r}")
     except (KeyError, TypeError, ValueError, HeuristicError, ConfigurationError) as exc:
         raise DataError(f"malformed heuristic entry document: {exc}") from exc
-    return entry_from_tags(tags, heuristic)
+    return entry_from_tags(tags, heuristic, admissible=admissible)

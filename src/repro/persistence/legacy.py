@@ -24,7 +24,7 @@ from repro.core.errors import DataError
 from repro.core.joint import JointDistribution
 from repro.core.pace_graph import PaceGraph
 from repro.heuristics.binary import BinaryHeuristic
-from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
+from repro.heuristics.budget import BudgetSpecificHeuristic
 from repro.heuristics.tables import HeuristicRow, HeuristicTable
 from repro.network.io import network_from_dict
 from repro.persistence.codecs import (
@@ -33,7 +33,11 @@ from repro.persistence.codecs import (
     require_format_version,
     strict_json_loads,
 )
-from repro.persistence.heuristics import HeuristicEntry, entry_from_tags
+from repro.persistence.heuristics import (
+    HeuristicEntry,
+    entry_from_tags,
+    _rounding_admissible,
+)
 from repro.persistence.store import INDEX_ARTIFACT, ArtifactStore, checksum_bytes
 from repro.vpaths.updated_graph import UpdatedPaceGraph
 
@@ -135,13 +139,9 @@ def budget_heuristic_from_dict(payload: dict) -> BudgetSpecificHeuristic:
     try:
         table = heuristic_table_from_dict(payload["table"])
         binary = binary_heuristic_from_dict(payload["binary"])
-        grid_rounding = payload.get("grid_rounding", "ceil")
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed budget heuristic payload: {exc}") from exc
-    config = BudgetHeuristicConfig(
-        delta=table.delta, max_budget=table.max_budget, grid_rounding=grid_rounding
-    )
-    return BudgetSpecificHeuristic.from_table(table, binary=binary, config=config)
+    return BudgetSpecificHeuristic.from_table(table, binary=binary)
 
 
 def index_from_dict(payload: dict) -> UpdatedPaceGraph:
@@ -195,17 +195,21 @@ def heuristic_bundle_entries(payload: dict) -> list[HeuristicEntry]:
 def _bundle_entry(entry: dict) -> HeuristicEntry:
     try:
         kind = entry["kind"]
+        admissible = True
         if kind == "binary":
             heuristic: BinaryHeuristic | BudgetSpecificHeuristic = binary_heuristic_from_dict(
                 entry["heuristic"]
             )
         elif kind == "budget":
             heuristic = budget_heuristic_from_dict(entry["heuristic"])
+            admissible = _rounding_admissible(
+                entry["heuristic"].get("grid_rounding", "ceil"), what="heuristic bundle entry"
+            )
         else:
             raise DataError(f"unknown heuristic bundle entry kind {kind!r}")
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed heuristic bundle entry: {exc}") from exc
-    return entry_from_tags(entry, heuristic)
+    return entry_from_tags(entry, heuristic, admissible=admissible)
 
 
 def load_index(store: ArtifactStore) -> tuple[PaceGraph, UpdatedPaceGraph | None]:

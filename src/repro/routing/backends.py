@@ -220,11 +220,10 @@ class ArtifactRef:
     pace_fingerprint: str | None = None
     updated_fingerprint: str | None = None
     #: Boot-time residency policy, mirrored into every worker this ref
-    #: spawns: which persisted heuristics to make resident up front
-    #: (``"all"``, ``"none"`` or a tuple of store entry keys) and the
-    #: resident tier's byte budget (``None`` = unbounded).  Kept hashable
-    #: (tuple, not list) because worker-pool respawn decisions compare refs.
-    prewarm: "str | tuple[str, ...]" = "all"
+    #: spawns: whether every persisted heuristic is made resident up front
+    #: (``"all"``) or faults in on first touch (``"none"``), and the
+    #: resident tier's byte budget (``None`` = unbounded).
+    prewarm: str = "all"
     cache_bytes: int | None = None
 
     def build_engine(self, settings: "RouterSettings | None" = None) -> "RoutingEngine":

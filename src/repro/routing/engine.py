@@ -654,9 +654,10 @@ class RoutingEngine:
         for entries written before fingerprinting.  Budget tables that cannot
         provide admissible bounds here are skipped — tables that do not cover
         this engine's ``settings.max_budget`` (residual budgets would cap at
-        their grid) and tables built with ``grid_rounding="floor"`` (cells
-        may under-estimate).  Skipped heuristics are simply rebuilt on
-        demand.  Returns the number of entries loaded.
+        their grid) and tables whose documents record the paper's floor
+        grid rounding (cells may under-estimate; see
+        :attr:`HeuristicEntry.admissible`).  Skipped heuristics are simply
+        rebuilt on demand.  Returns the number of entries loaded.
         """
         loaded = 0
         for entry in entries:
@@ -697,7 +698,7 @@ class RoutingEngine:
             if heuristic.table.max_budget < self._settings.max_budget - 1e-9:
                 # The table cannot answer this engine's largest budgets.
                 return None
-            if heuristic.grid_rounding != "ceil":
+            if not entry.admissible:
                 # Floor-built cells may under-estimate (inadmissible);
                 # routing needs upper bounds, so rebuild instead.
                 return None
@@ -824,7 +825,7 @@ class RoutingEngine:
         store,
         *,
         settings: RouterSettings | None = None,
-        prewarm: str | Sequence[str] = "all",
+        prewarm: str = "all",
         cache_bytes: int | None = None,
     ) -> "RoutingEngine":
         """Boot an engine from a persisted artifact store — never re-mine.
@@ -835,10 +836,9 @@ class RoutingEngine:
         tier at boot: ``"all"`` (the default) eagerly loads every persisted
         heuristic — the classic cold boot, first queries see zero cache
         misses; ``"none"`` starts empty — boot cost scales with the index
-        alone and each table faults in on first touch; an explicit sequence
-        of store entry keys (``["budget-60.0-pace-35", ...]``) warms exactly
-        those.  ``cache_bytes`` bounds the resident tier (LRU eviction,
-        see :class:`HeuristicCache`); ``None`` keeps everything resident.
+        alone and each table faults in on first touch.  ``cache_bytes``
+        bounds the resident tier (LRU eviction, see :class:`HeuristicCache`);
+        ``None`` keeps everything resident.
 
         ``settings`` defaults to the :class:`RouterSettings` the artifacts
         were built for (recorded in the manifest) — overriding them is
@@ -917,18 +917,8 @@ class RoutingEngine:
         """
         if policy == "none":
             return 0
-        if policy == "all":
-            keys = handle.keys()
-        else:
-            missing = [key for key in policy if key not in handle]
-            if missing:
-                raise DataError(
-                    f"prewarm keys {missing!r} are not persisted in the artifact "
-                    f"store (available: {sorted(handle.keys())!r})"
-                )
-            keys = policy
         loaded = 0
-        for key in keys:
+        for key in handle.keys():
             loaded += self._load_heuristic_entries([handle.load_entry(key)])
         return loaded
 

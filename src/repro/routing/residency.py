@@ -21,7 +21,6 @@ module holds the small, strictly typed vocabulary shared by both tiers:
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
 from typing import NamedTuple
 
 from repro.core.errors import ConfigurationError
@@ -30,10 +29,9 @@ from repro.heuristics.base import Heuristic
 __all__ = ["CacheCounters", "PrewarmPolicy", "heuristic_nbytes", "normalise_prewarm"]
 
 #: A validated prewarm policy: ``"all"`` (eagerly load every persisted
-#: heuristic — the classic boot), ``"none"`` (resident tier starts empty,
-#: entries fault in on first touch), or an explicit tuple of store entry
-#: keys (e.g. ``("budget-60.0-pace-35",)``) to make hot at boot.
-PrewarmPolicy = str | tuple[str, ...]
+#: heuristic — the classic boot) or ``"none"`` (resident tier starts empty,
+#: entries fault in on first touch).
+PrewarmPolicy = str
 
 
 class CacheCounters(NamedTuple):
@@ -73,26 +71,8 @@ def heuristic_nbytes(heuristic: Heuristic) -> int:
     return max(1, int(accounting()))
 
 
-def normalise_prewarm(prewarm: str | Sequence[str]) -> PrewarmPolicy:
-    """Validate a ``prewarm`` argument into ``"all"``, ``"none"`` or a key tuple."""
-    if isinstance(prewarm, str):
-        if prewarm in ("all", "none"):
-            return prewarm
-        raise ConfigurationError(
-            f"prewarm must be 'all', 'none' or a sequence of heuristic entry keys, "
-            f"got {prewarm!r}"
-        )
-    try:
-        keys = tuple(prewarm)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"prewarm must be 'all', 'none' or a sequence of heuristic entry keys, "
-            f"got {prewarm!r}"
-        ) from exc
-    for key in keys:
-        if not isinstance(key, str) or not key:
-            raise ConfigurationError(
-                f"prewarm keys must be non-empty strings (store heuristic entry "
-                f"keys such as 'budget-60.0-pace-35'), got {key!r}"
-            )
-    return keys
+def normalise_prewarm(prewarm: str) -> PrewarmPolicy:
+    """Validate a ``prewarm`` argument: ``"all"`` or ``"none"``."""
+    if prewarm not in ("all", "none"):
+        raise ConfigurationError(f"prewarm must be 'all' or 'none', got {prewarm!r}")
+    return prewarm

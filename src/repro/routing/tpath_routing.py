@@ -21,10 +21,10 @@ unsound in PACE (Section 2.3).
 
 The search is :func:`~repro.routing.search.best_first` over an
 :class:`~repro.routing.accel.ExpansionKernel`, whose ndarray kernels expand a
-popped candidate's whole successor slice and resume PACE chain evaluation
-from per-candidate chain trails.  The per-element loops they replace live
-on as the test reference in :mod:`repro.routing._scalar_reference`; the two
-return bitwise identical results.
+popped candidate's whole successor slice and resume the PACE chain fold of
+:mod:`repro.core.chain` from per-candidate chain trails.  The per-element
+loops they replace live on as the test oracle in ``tests/oracles/routing.py``;
+the two return bitwise identical results.
 """
 
 from __future__ import annotations

@@ -20,11 +20,12 @@ The search is the same :func:`~repro.routing.search.best_first` loop and
 :class:`~repro.routing.accel.ExpansionKernel` the T-path routers run, here
 with dominance admission (sequential: its outcome depends on admission
 order) and memoized convolutions in place of PACE chain trails.  The
-per-element loop the kernel replaces lives on as the test reference in
-:mod:`repro.routing._scalar_reference`.
+per-element loop the kernel replaces lives on as the test oracle in
+``tests/oracles/routing.py``.
 
 The returned path's distribution and probability are re-computed under
-exact PACE semantics (coarsest T-path assembly) before being reported: a
+exact PACE semantics (:meth:`~repro.core.pace_graph.PaceGraph.path_cost_distribution`,
+the chain fold the T-path routers run) before being reported: a
 candidate may correspond to a finer-than-coarsest decomposition of its road
 path, whose convolution estimate differs slightly from the PACE cost of
 that path, and re-evaluating makes the reported numbers directly comparable

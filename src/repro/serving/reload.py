@@ -94,7 +94,7 @@ class EngineReloader:
         poll_seconds: float = 2.0,
         drain_timeout_seconds: float = 30.0,
         faults: FaultInjector | None = None,
-        prewarm: "str | tuple[str, ...]" = "all",
+        prewarm: str = "all",
         cache_bytes: int | None = None,
     ) -> None:
         self.store_root = str(store_root)

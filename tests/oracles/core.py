@@ -14,10 +14,6 @@ replaced with a hash join.  It exists for two reasons:
   the vectorized kernel's speed-up against it on chained convolution and
   dominance workloads, and ``benchmarks/test_closure_parity.py`` builds a
   city-scale V-path closure with each assembly.
-
-It is deliberately *not* exported from :mod:`repro.core`: production code
-must use :class:`~repro.core.distributions.Distribution` and
-:class:`~repro.core.joint.JointDistribution`.
 """
 
 from __future__ import annotations

@@ -7,29 +7,38 @@ the vectorized NumPy rewrite.  It exists for two reasons:
 
 * the property-based tests in ``tests/test_heuristic_reference.py`` check
   that the vectorized kernel agrees with this (much simpler,
-  obviously-correct) implementation on random graphs, both grid roundings,
-  fractional ``δ`` grids and cyclic graphs, and
+  obviously-correct) implementation on random graphs, fractional ``δ`` grids
+  and cyclic graphs,
 * the micro-benchmark in ``benchmarks/test_heuristic_build_bench.py``
   measures the vectorized kernel's speed-up against it on a synthetic
-  city-scale build.
+  city-scale build, and
+* ``tests/test_heuristics.py`` reproduces the paper's Table 4 with it.  The
+  paper's worked example reads residual budgets at the largest grid value
+  below them (``rounding="floor"``), which may under-estimate ``U``; the
+  package only builds and serves admissible ``"ceil"`` tables, so the floor
+  rounding lives here alone (:func:`column_for`, :func:`table_value`).
 
 Like the vectorized builder it performs Gauss–Seidel sweeps in increasing
 ``getMin`` order; ``config.sweeps`` fixes the number of passes, and
 ``config.sweeps=None`` keeps sweeping until a full pass changes nothing (the
 fixpoint the dirty-worklist builder converges to).
-
-It is deliberately *not* exported from :mod:`repro.heuristics`: production
-code must use :func:`repro.heuristics.budget.build_heuristic_table`.
 """
 
 from __future__ import annotations
 
+import math
+
 from repro.heuristics.binary import BinaryHeuristic, PaceBinaryHeuristic
 from repro.heuristics.tables import HeuristicRow, HeuristicTable
 
-__all__ = ["build_heuristic_table_scalar"]
+__all__ = ["build_heuristic_table_scalar", "column_for", "table_value"]
 
 _ONE = 1.0 - 1e-9
+
+#: Tolerance of the floor column rounding.  Float division makes exact grid
+#: multiples land just below the integer (``0.3 / 0.1 == 2.999...96``), so the
+#: ratio is nudged up before flooring.
+_FLOOR_EPSILON = 1e-9
 
 #: Safety cap for ``sweeps=None``; monotone tightening stabilises long before.
 _CONVERGENCE_SWEEP_CAP = 10_000
@@ -41,8 +50,13 @@ def build_heuristic_table_scalar(
     config=None,
     *,
     binary: BinaryHeuristic | None = None,
+    rounding: str = "ceil",
 ) -> HeuristicTable:
-    """The seed's cell-at-a-time Eq. 5 builder, kept as a reference oracle."""
+    """The seed's cell-at-a-time Eq. 5 builder, kept as a reference oracle.
+
+    ``rounding`` selects how a residual budget is read off the successor's
+    row (see :func:`column_for`); ``"ceil"`` is what the package builds.
+    """
     from repro.heuristics.budget import BudgetHeuristicConfig
 
     config = config or BudgetHeuristicConfig()
@@ -78,7 +92,7 @@ def build_heuristic_table_scalar(
         row = table.rows.get(vertex)
         if row is None:
             return binary.probability(vertex, budget)
-        column = min(table.column_for(budget, rounding=config.grid_rounding), eta)
+        column = min(column_for(table, budget, rounding), eta)
         return row.value_at_column(column)
 
     def compute_row(vertex: int) -> HeuristicRow:
@@ -120,3 +134,38 @@ def build_heuristic_table_scalar(
             break
     table.sweeps_performed = sweeps_done
     return table
+
+
+def column_for(table: HeuristicTable, budget: float, rounding: str = "ceil") -> int:
+    """:meth:`HeuristicTable.column_for` with a selectable grid rounding.
+
+    ``"ceil"`` maps to the smallest grid value >= ``budget`` (the package's
+    admissible lookup); ``"floor"`` to the largest grid value <= ``budget``,
+    which is how the paper's worked example (Table 4) evaluates the
+    recursion: tighter, but it may under-estimate ``U``.  Both are computed
+    from the rounded ``budget / delta`` ratio, since plain float ``//``
+    misfires on fractional grids (``0.3 // 0.1 == 2.0``).
+    """
+    if rounding == "ceil":
+        return table.column_for(budget)
+    if rounding != "floor":
+        raise ValueError(f"rounding must be 'ceil' or 'floor', got {rounding!r}")
+    if budget <= 0:
+        return 0
+    return math.floor(budget / table.delta + _FLOOR_EPSILON)
+
+
+def table_value(table: HeuristicTable, vertex: int, budget: float, rounding: str = "ceil") -> float:
+    """:meth:`HeuristicTable.value` with a selectable grid rounding (see :func:`column_for`)."""
+    if rounding == "ceil":
+        return table.value(vertex, budget)
+    if budget < 0:
+        return 0.0
+    if vertex == table.destination:
+        return 1.0
+    if budget <= 0:
+        return 0.0
+    row = table.rows.get(vertex)
+    if row is None:
+        return 1.0
+    return row.value_at_column(min(column_for(table, budget, rounding), table.eta))

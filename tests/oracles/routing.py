@@ -7,7 +7,9 @@ unguided as PACE's Algorithm 1 for T-None) and
 prune, path evaluation and priority per successor element, each loop with
 its own heap — from before the routers shared the
 :func:`~repro.routing.search.best_first` loop and the batched
-:class:`~repro.routing.accel.ExpansionKernel`.  It exists for three reasons:
+:class:`~repro.routing.accel.ExpansionKernel`.  Paths are PACE-evaluated
+with the dict chain fold of :mod:`tests.oracles.chain`, not with the
+package's array fold.  It exists for three reasons:
 
 * the property-based tests in ``tests/test_expansion_parity.py`` check that
   the routers return bitwise the same results as these loops (same path,
@@ -24,9 +26,6 @@ The functions take the graph, the destination's heuristic and the limits as
 explicit arguments; :func:`route_scalar` maps a method name and
 :class:`~repro.routing.engine.RouterSettings` onto them the way
 :func:`~repro.routing.engine.create_router` configures the routers.
-
-It is deliberately *not* exported from :mod:`repro.routing`: production code
-must use the routers.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from repro.routing.dominance import DominancePruner
 from repro.routing.methods import MethodSpec
 from repro.routing.queries import RoutingQuery, RoutingResult
 from repro.vpaths.updated_graph import UpdatedPaceGraph
+from tests.oracles.chain import path_cost_distribution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.routing.engine import RouterSettings
@@ -159,7 +159,7 @@ def route_tpath_scalar(
             if new_min_cost + heuristic.min_cost(element.path.target) > budget:
                 continue
             new_path = path.concat(element.path)
-            new_distribution = graph.path_cost_distribution(new_path, max_support=max_support)
+            new_distribution = path_cost_distribution(graph, new_path, max_support=max_support)
             priority = priority_of(new_path, new_distribution)
             if priority is None:
                 continue
@@ -254,8 +254,8 @@ def route_vpath_scalar(
             push(new_path, new_distribution)
 
     if best_path is not None:
-        best_distribution = graph.pace_graph.path_cost_distribution(
-            best_path, max_support=max_support
+        best_distribution = path_cost_distribution(
+            graph.pace_graph, best_path, max_support=max_support
         )
         best_prob = best_distribution.prob_at_most(budget)
 

@@ -25,6 +25,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.errors import DataError
+from repro.persistence.codecs import decode_column_document, encode_column_document
 from repro.persistence.store import (
     HEURISTIC_ENTRY_PREFIX,
     INDEX_ARTIFACT,
@@ -209,6 +210,18 @@ def _rewrite_artifact(root, name, transform):
     (root / MANIFEST_NAME).write_text(json.dumps(manifest))
 
 
+def as_floor_document(data: bytes) -> bytes:
+    """A v2 budget table document edited to record the paper's floor grid rounding.
+
+    Tables are only built rounding residual budgets up; a document that says
+    ``"floor"`` (cells that may under-estimate) is input from outside, so the
+    tests make one by rewriting the metadata header of a built one.
+    """
+    meta, columns = decode_column_document(data)
+    assert meta["grid_rounding"] == "ceil"
+    return encode_column_document({**meta, "grid_rounding": "floor"}, columns)
+
+
 class TestMigration:
     def test_cli_migrates_v1_store_in_place(self, copy_v1_store, capsys):
         store = copy_v1_store()
@@ -351,19 +364,19 @@ class TestMigration:
 
         engine = RECIPE.build_engine(settings=SETTINGS)
         destination = sorted(engine.pace_graph.network.vertex_ids())[-1]
-        floor_built = BudgetSpecificHeuristic(
+        built = BudgetSpecificHeuristic(
             engine.pace_graph,
             destination,
-            BudgetHeuristicConfig(
-                delta=60.0, max_budget=SETTINGS.max_budget, grid_rounding="floor"
-            ),
+            BudgetHeuristicConfig(delta=60.0, max_budget=SETTINGS.max_budget),
         )
         engine.heuristic_cache.insert(
             ("budget", 60.0, engine.pace_graph.content_fingerprint(), destination),
-            floor_built,
+            built,
         )
         store = tmp_path / "floor-store"
         engine.save_artifacts(store)
+        (name,) = ArtifactStore.open(store).manifest.heuristic_entry_names()
+        _rewrite_artifact(store, name, as_floor_document)
         before = ArtifactStore.open(store).manifest
         assert len(before.heuristic_entry_names()) == 1
 

@@ -23,7 +23,7 @@ from repro.datasets.synthetic import tiny_dataset
 from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, build_heuristic_table
 from repro.routing import RouterSettings, RoutingQuery, create_router
-from repro.routing._scalar_reference import route_scalar
+from tests.oracles.routing import route_scalar
 from repro.routing.accel import accelerator_for
 from repro.tpaths.extraction import TPathMinerConfig, build_pace_graph
 from repro.vpaths.updated_graph import UpdatedPaceGraph

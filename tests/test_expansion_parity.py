@@ -4,7 +4,7 @@ The routers expand their frontier through the ndarray kernels of
 :mod:`repro.routing.accel` — budget pruning, cycle masking, Eq. 3
 priorities, checkpointed PACE evaluation — which are designed to perform
 *the same float arithmetic in the same order* as the per-element loops kept
-in :mod:`repro.routing._scalar_reference`.  These tests pin that claim
+in :mod:`tests.oracles.routing`.  These tests pin that claim
 exactly: for random cyclic PACE graphs, every heuristic family and random
 budgets, router and reference must return identical
 :class:`~repro.routing.queries.RoutingResult`\\ s — same path, same
@@ -32,7 +32,7 @@ from repro.heuristics.base import _BATCH_THRESHOLD, NoHeuristic, max_prob, max_p
 from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
 from repro.network.road_network import RoadNetwork
-from repro.routing._scalar_reference import route_scalar
+from tests.oracles.routing import route_scalar
 from repro.routing.engine import RouterSettings, create_router
 from repro.routing.queries import RoutingQuery, RoutingResult
 from repro.tpaths.extraction import TPathMinerConfig, build_pace_graph

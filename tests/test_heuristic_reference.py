@@ -3,15 +3,14 @@
 :func:`repro.heuristics.budget.build_heuristic_table` evaluates Eq. 5 as a
 batched NumPy Bellman kernel over lazily evaluated column blocks with a
 dirty-worklist sweep schedule; the seed's cell-at-a-time implementation is
-preserved in :mod:`repro.heuristics._scalar_reference`.  Both are Gauss–Seidel
+preserved in :mod:`tests.oracles.heuristics`.  Both are Gauss–Seidel
 iterations in the same deterministic vertex order, so for any sweep budget —
 including ``sweeps=None`` (run to the fixpoint) — their tables must agree at
 every (vertex, grid budget) cell up to floating-point summation noise.
 
 The graphs exercised here include random directed graphs with cycles
 (multi-sweep convergence), random T-paths on top of the edges, fractional
-``δ`` grids, both grid roundings, and the mined PACE model of the synthetic
-test city.
+``δ`` grids, and the mined PACE model of the synthetic test city.
 
 :class:`TestTableBytesPinned` additionally pins the exact bytes of every
 T-BS-60 and V-BS-60 table of the ``tiny`` recipe, so a change to how the
@@ -31,7 +30,7 @@ from repro.core.distributions import Distribution
 from repro.core.edge_graph import EdgeGraph
 from repro.core.joint import JointDistribution
 from repro.core.pace_graph import PaceGraph
-from repro.heuristics._scalar_reference import build_heuristic_table_scalar
+from tests.oracles.heuristics import build_heuristic_table_scalar
 from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, build_heuristic_table
 from repro.network.road_network import RoadNetwork
@@ -100,12 +99,11 @@ def _assert_tables_agree(pace, destination, config, *, context: str) -> None:
     vectorized = build_heuristic_table(pace, destination, config, binary=binary)
     scalar = build_heuristic_table_scalar(pace, destination, config, binary=binary)
     assert set(vectorized.rows) == set(scalar.rows), context
-    rounding = config.grid_rounding
     for vertex in pace.network.vertex_ids():
         for column in range(0, config.eta + 2):
             budget = column * config.delta
-            got = vectorized.value(vertex, budget, rounding=rounding)
-            expected = scalar.value(vertex, budget, rounding=rounding)
+            got = vectorized.value(vertex, budget)
+            expected = scalar.value(vertex, budget)
             assert got == pytest.approx(expected, abs=TOLERANCE), (
                 f"{context}: U({vertex}, {budget}) = {got} != {expected}"
             )
@@ -113,54 +111,40 @@ def _assert_tables_agree(pace, destination, config, *, context: str) -> None:
     for vertex in pace.network.vertex_ids():
         for column in range(1, config.eta + 1, 3):
             budget = (column - 0.5) * config.delta
-            got = vectorized.value(vertex, budget, rounding=rounding)
-            expected = scalar.value(vertex, budget, rounding=rounding)
+            got = vectorized.value(vertex, budget)
+            expected = scalar.value(vertex, budget)
             assert got == pytest.approx(expected, abs=TOLERANCE), context
 
 
 class TestVectorizedAgainstScalarReference:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
-    def test_random_cyclic_graphs_fixed_sweeps(self, seed, rounding):
+    def test_random_cyclic_graphs_fixed_sweeps(self, seed):
         pace, destination = _random_pace_graph(seed, cost_grid=1.0)
         for sweeps in (1, 2):
-            config = BudgetHeuristicConfig(
-                delta=3.0, max_budget=36.0, sweeps=sweeps, grid_rounding=rounding
-            )
-            _assert_tables_agree(
-                pace, destination, config, context=f"seed={seed} {rounding} sweeps={sweeps}"
-            )
+            config = BudgetHeuristicConfig(delta=3.0, max_budget=36.0, sweeps=sweeps)
+            _assert_tables_agree(pace, destination, config, context=f"seed={seed} sweeps={sweeps}")
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
-    def test_random_cyclic_graphs_converged(self, seed, rounding):
+    def test_random_cyclic_graphs_converged(self, seed):
         """Multi-sweep convergence: both builders reach the same fixpoint."""
         pace, destination = _random_pace_graph(seed, cost_grid=1.0)
-        config = BudgetHeuristicConfig(
-            delta=2.0, max_budget=30.0, sweeps=None, grid_rounding=rounding
-        )
-        _assert_tables_agree(pace, destination, config, context=f"seed={seed} {rounding} converged")
+        config = BudgetHeuristicConfig(delta=2.0, max_budget=30.0, sweeps=None)
+        _assert_tables_agree(pace, destination, config, context=f"seed={seed} converged")
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
-    def test_fractional_delta_grids(self, seed, rounding):
+    def test_fractional_delta_grids(self, seed):
         """Fractional δ over fractional costs: column rounding must not drift."""
         pace, destination = _random_pace_graph(seed + 100, cost_grid=0.1)
-        config = BudgetHeuristicConfig(
-            delta=0.3, max_budget=3.6, sweeps=2, grid_rounding=rounding
-        )
-        _assert_tables_agree(pace, destination, config, context=f"seed={seed} {rounding} fractional")
+        config = BudgetHeuristicConfig(delta=0.3, max_budget=3.6, sweeps=2)
+        _assert_tables_agree(pace, destination, config, context=f"seed={seed} fractional")
 
-    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
-    def test_mined_pace_graph(self, small_pace_graph, rounding):
+    def test_mined_pace_graph(self, small_pace_graph):
         """The mined synthetic city (real T-paths, cycles), fixed and convergent sweeps."""
         destination = sorted(small_pace_graph.network.vertex_ids())[-1]
         for sweeps in (2, None):
-            config = BudgetHeuristicConfig(
-                delta=30.0, max_budget=600.0, sweeps=sweeps, grid_rounding=rounding
-            )
+            config = BudgetHeuristicConfig(delta=30.0, max_budget=600.0, sweeps=sweeps)
             _assert_tables_agree(
-                small_pace_graph, destination, config, context=f"city {rounding} sweeps={sweeps}"
+                small_pace_graph, destination, config, context=f"city sweeps={sweeps}"
             )
 
     def test_convergence_stops_and_tightens(self):

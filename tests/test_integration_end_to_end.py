@@ -7,7 +7,7 @@ import pytest
 from repro.evaluation.workloads import WorkloadConfig, generate_workload
 from repro.heuristics import NoHeuristic, PaceBinaryHeuristic
 from repro.routing import RouterSettings, RoutingQuery, create_router
-from repro.routing._scalar_reference import route_scalar
+from tests.oracles.routing import route_scalar
 from repro.trajectories import GpsSimulatorConfig, HmmMapMatcher, MapMatcherConfig, simulate_gps_trace
 from repro.tpaths import TPathMinerConfig, build_pace_graph
 from repro.vpaths import UpdatedPaceGraph

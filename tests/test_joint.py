@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core._scalar_reference import assemble_reference
+from tests.oracles.core import assemble_reference
 from repro.core.distributions import Distribution
 from repro.core.errors import JointDistributionError
 from repro.core.joint import JointDistribution, assemble_sequence

@@ -2,7 +2,7 @@
 
 The NumPy-backed :class:`repro.core.distributions.Distribution` must agree
 with the simple, obviously-correct scalar implementation preserved in
-:mod:`repro.core._scalar_reference` on every operation the routing algorithms
+:mod:`tests.oracles.core` on every operation the routing algorithms
 use.  Random distributions are drawn with well-separated support values (gaps
 far above the kernel's merge tolerance) so both implementations see the same
 support grid.
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core._scalar_reference import ScalarDistribution
+from tests.oracles.core import ScalarDistribution
 from repro.core.distributions import Distribution
 
 

@@ -187,8 +187,8 @@ class TestHeuristicEntryCodec:
         assert restored.slot == entry.slot
         assert restored.graph_fingerprint == entry.graph_fingerprint
         assert restored.graph_signature == entry.graph_signature
+        assert restored.admissible and entry.admissible
         original, decoded = entry.heuristic, restored.heuristic
-        assert decoded.grid_rounding == original.grid_rounding
         assert (decoded.table.delta, decoded.table.eta) == (original.table.delta, original.table.eta)
         assert decoded.table.rows.keys() == original.table.rows.keys()
         for vertex, row in original.table.rows.items():
@@ -263,6 +263,22 @@ class TestHeuristicEntryCodec:
             decode(meta=retagged)
         with pytest.raises(DataError, match="malformed heuristic entry document"):
             decode(meta={**meta, "grid_rounding": "sideways"})
+
+    def test_floor_document_decodes_inadmissible_and_re_encodes_verbatim(self, paper_example):
+        """A document recording the paper's floor rounding is input from outside.
+
+        Tables are only built rounding up, so such a document comes from an
+        earlier release; it decodes as an inadmissible entry and encodes back
+        to the same bytes.
+        """
+        meta, columns = decode_column_document(
+            encode_heuristic_entry(self._budget_entry(paper_example))
+        )
+        assert meta["grid_rounding"] == "ceil"
+        blob = encode_column_document({**meta, "grid_rounding": "floor"}, columns)
+        restored = decode_heuristic_entry(blob)
+        assert not restored.admissible
+        assert encode_heuristic_entry(restored) == blob
 
 
 class TestIndexPersistence:

@@ -23,7 +23,7 @@ from repro.heuristics.base import NoHeuristic, max_prob
 from repro.heuristics.binary import PaceBinaryHeuristic
 from repro.heuristics.budget import BudgetHeuristicConfig, BudgetSpecificHeuristic
 from repro.network.road_network import RoadNetwork
-from repro.routing._scalar_reference import route_scalar
+from tests.oracles.routing import route_scalar
 from repro.routing.queries import RoutingQuery
 from repro.routing.settings import RouterSettings
 from repro.routing.vpath_routing import VPathRouter

@@ -207,7 +207,7 @@ class TestPublicApi:
         Routers read one settings object and hold no heuristics: the
         per-router config classes and the ``pin_heuristics`` switch are gone.
         Every router runs the one heap loop of ``routing/search.py``: no other
-        routing module imports ``heapq`` (the scalar reference loops excepted).
+        routing module imports ``heapq``.
         """
         from repro import edgemodel, routing
         from repro.heuristics import budget
@@ -248,7 +248,7 @@ class TestPublicApi:
                         continue
                     if "heapq" in imported:
                         heap_users.add(path.relative_to(src).as_posix())
-        assert heap_users == {"routing/search.py", "routing/_scalar_reference.py"}
+        assert heap_users == {"routing/search.py"}
         assert "mirror" not in inspect.signature(budget.build_heuristic_table).parameters
         for module, name in (
             (budget, "_DenseMirror"),
@@ -259,8 +259,36 @@ class TestPublicApi:
         reader = store.ArtifactStore._open_artifact_reader
         assert "verify" not in inspect.signature(reader).parameters
 
+    def test_one_chain_fold_and_one_grid_rounding(self):
+        """PACE evaluation has one fold; budget tables round one way, with no knob."""
+        from repro.core import chain, pace_graph
+        from repro.heuristics import budget, tables
+        from repro.routing import accel
+
+        for name in ("seed_chain_states", "chain_step", "finish_chain_states"):
+            assert not hasattr(pace_graph.PaceGraph, name), name
+        for name in ("_chain_step", "_seed_states", "_finish_states", "_FoldPlan"):
+            assert not hasattr(accel, name), name
+        assert not hasattr(accel.FrontierAccelerator, "fold_plan")
+        assert accel.chain_step is chain.chain_step
+        assert "grid_rounding" not in {
+            field.name for field in dataclasses.fields(budget.BudgetHeuristicConfig)
+        }
+        assert not hasattr(budget.BudgetSpecificHeuristic, "grid_rounding")
+        for function in (
+            tables.columns_for_budgets,
+            tables.HeuristicTable.column_for,
+            tables.HeuristicTable.value,
+            tables.HeuristicTable.values_at_many,
+            budget.build_heuristic_table,
+        ):
+            assert "rounding" not in inspect.signature(function).parameters, function
+        assert not hasattr(tables, "_FLOOR_EPSILON")
+
     def test_no_product_module_imports_a_scalar_reference(self):
+        """The reference oracles live in ``tests/oracles``; ``src/`` never imports tests."""
         src = Path(repro.__file__).parent
+        assert not [path for path in src.rglob("*.py") if "_scalar_reference" in path.name]
         importers = set()
         for path in src.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -272,13 +300,18 @@ class TestPublicApi:
                         names |= {node.module} | {f"{node.module}.{n}" for n in names}
                 else:
                     continue
-                if any(name.rsplit(".", 1)[-1] == "_scalar_reference" for name in names):
+                if any(
+                    name.split(".", 1)[0] == "tests"
+                    or name.rsplit(".", 1)[-1] == "_scalar_reference"
+                    for name in names
+                ):
                     importers.add(path.relative_to(src).as_posix())
         assert not importers
         # Booting the serving surfaces never loads one either.
         code = (
             "import sys, repro, repro.cli, repro.serving; "
-            "loaded = [m for m in sys.modules if m.endswith('._scalar_reference')]; "
+            "loaded = [m for m in sys.modules "
+            "if m == 'tests' or m.startswith('tests.') or m.endswith('._scalar_reference')]; "
             "assert not loaded, loaded"
         )
         subprocess.run([sys.executable, "-c", code], check=True)

@@ -5,7 +5,7 @@ PR 10's contract, pinned from four directions:
 * the v2 streaming reader (``ColumnDocumentReader``) decodes without copying
   payloads, defers digest verification to first touch, and detects
   truncation/bit-rot exactly like the eager decoder,
-* engines booted ``prewarm="none"`` (or with an explicit key list) answer
+* engines booted ``prewarm="none"`` answer
   every query identically to an eager boot — including under concurrent
   ``route_many`` on every backend and with eviction pressure mid-batch,
 * faults of corrupt entries raise :class:`DataError` without crashing the
@@ -18,6 +18,7 @@ PR 10's contract, pinned from four directions:
 from __future__ import annotations
 
 import shutil
+import sys
 import threading
 import tracemalloc
 
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError, DataError
+from repro.heuristics.budget import BudgetSpecificHeuristic
 from repro.persistence.codecs import (
     ColumnDocumentReader,
     decode_column_document,
@@ -33,8 +35,10 @@ from repro.persistence.codecs import (
 )
 from repro.persistence.store import HEURISTIC_ENTRY_PREFIX, ArtifactStore
 from repro.routing import (
+    METHOD_NAMES,
     DatasetRecipe,
     HeuristicCache,
+    MethodSpec,
     ProcessBackend,
     RouterSettings,
     RoutingEngine,
@@ -91,13 +95,13 @@ def _entry_document(root, key):
 # Prewarm policy
 # --------------------------------------------------------------------------- #
 class TestPrewarmPolicy:
-    def test_normalise_accepts_all_none_and_key_sequences(self):
+    def test_normalise_accepts_all_and_none(self):
         assert normalise_prewarm("all") == "all"
         assert normalise_prewarm("none") == "none"
-        assert normalise_prewarm(["a", "b"]) == ("a", "b")
-        assert normalise_prewarm(()) == ()
 
-    @pytest.mark.parametrize("bad", ["everything", "", 7, ["ok", ""], [3]])
+    @pytest.mark.parametrize(
+        "bad", ["everything", "", 7, ["ok", ""], [3], ["binary-P-0"], ("binary-P-0",), ()]
+    )
     def test_normalise_rejects_junk(self, bad):
         with pytest.raises(ConfigurationError):
             normalise_prewarm(bad)
@@ -117,18 +121,6 @@ class TestPrewarmPolicy:
             explicit.heuristic_cache.counters().entries
             == eager.heuristic_cache.counters().entries
         )
-
-    def test_prewarm_key_list_loads_exactly_those(self, mined, store_v2):
-        _, destinations, _ = mined
-        key = f"binary-P-{destinations[0]}"
-        engine = RoutingEngine.from_artifacts(store_v2, prewarm=[key])
-        counters = engine.heuristic_cache.counters()
-        assert counters.entries == 1
-        assert counters.resident_bytes > 0
-
-    def test_unknown_prewarm_key_is_rejected_loudly(self, store_v2):
-        with pytest.raises(DataError, match="no-such-key"):
-            RoutingEngine.from_artifacts(store_v2, prewarm=["no-such-key"])
 
     def test_artifact_ref_carries_the_boot_policy(self, store_v2):
         engine = RoutingEngine.from_artifacts(store_v2, prewarm="none", cache_bytes=1 << 20)
@@ -423,3 +415,44 @@ class TestEagerDecodePeak:
         # mmap pages are not Python heap: the decoded "array" is a view, so
         # the traced peak stays far below one materialised copy.
         assert peak < 0.5 * column.nbytes, f"streaming decode allocated {peak} bytes"
+
+
+# --------------------------------------------------------------------------- #
+# Byte accounting
+# --------------------------------------------------------------------------- #
+def _walked_binary_bytes(binary) -> int:
+    """The per-value ``sys.getsizeof`` walk ``storage_bytes`` used to make."""
+    values = binary._min_costs
+    return sum(sys.getsizeof(v) for v in values.values()) + sys.getsizeof(values)
+
+
+def _walked_nbytes(heuristic) -> int:
+    if isinstance(heuristic, BudgetSpecificHeuristic):
+        return (
+            heuristic.table.storage_bytes()
+            + _walked_binary_bytes(heuristic.binary)
+            + sys.getsizeof(heuristic)
+        )
+    return _walked_binary_bytes(heuristic)
+
+
+class TestHeuristicNbytes:
+    """``heuristic_nbytes`` counts getMin maps without walking them, to the same byte.
+
+    The cache's byte budgets (and the one perfbench sizes ``serve_http``
+    with) are in these units, so the count must not move.
+    """
+
+    def test_counts_equal_the_walk_for_every_tiny_recipe_heuristic(self, tmp_path):
+        engine = RECIPE.build_engine(settings=SETTINGS)
+        destinations = sorted(engine.pace_graph.network.vertex_ids())
+        for method in METHOD_NAMES:
+            if MethodSpec.coerce(method).heuristic != "none":
+                engine.prewarm(method, destinations)
+        built = engine.heuristic_cache.snapshot()
+        engine.save_artifacts(tmp_path / "store")
+        booted = RoutingEngine.from_artifacts(tmp_path / "store").heuristic_cache.snapshot()
+        assert len(built) == len(booted) == 5 * len(destinations)
+        for heuristics in (built, booted):
+            for key, heuristic in heuristics.items():
+                assert heuristic_nbytes(heuristic) == _walked_nbytes(heuristic), key

@@ -23,6 +23,7 @@ from repro.routing.engine import (
 from repro.routing.queries import RoutingQuery
 from repro.routing.residency import heuristic_nbytes
 from repro.vpaths.updated_graph import UpdatedPaceGraph
+from tests.test_artifact_v2 import _rewrite_artifact, as_floor_document
 
 
 @pytest.fixture(scope="module")
@@ -383,16 +384,19 @@ class TestHeuristicPersistenceRoundTrip:
     ):
         """Floor-built cells may under-estimate; routing needs admissible bounds."""
         pace = paper_example.pace_graph
-        floor_heuristic = BudgetSpecificHeuristic(
-            pace, VD, BudgetHeuristicConfig(delta=60, max_budget=120, grid_rounding="floor")
+        heuristic = BudgetSpecificHeuristic(
+            pace, VD, BudgetHeuristicConfig(delta=60, max_budget=120)
         )
         entry = HeuristicEntry(
             HeuristicSlot("budget", 60.0, "pace", VD),
-            floor_heuristic,
+            heuristic,
             graph_fingerprint=pace.content_fingerprint(),
         )
         settings = RouterSettings(max_budget=120.0)
-        _store_with_entries(tmp_path / "floor", pace, updated_example, settings, [entry])
+        store = _store_with_entries(tmp_path / "floor", pace, updated_example, settings, [entry])
+        # Only a document from outside can record the floor rounding.
+        (name,) = store.manifest.heuristic_entry_names()
+        _rewrite_artifact(tmp_path / "floor", name, as_floor_document)
         engine = RoutingEngine.from_artifacts(tmp_path / "floor")
         assert len(engine.heuristic_cache) == 0
         engine.route(RoutingQuery(VS, VD, budget=30.0), method="T-BS-60")
